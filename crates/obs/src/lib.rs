@@ -315,6 +315,13 @@ thread_local! {
     static ACTIVE: RefCell<Option<ObsState>> = const { RefCell::new(None) };
 }
 
+/// Is an observation context armed on *this* thread? Unlike [`armed`],
+/// the answer does not depend on what other threads are doing, so this is
+/// the check for callers and tests that ask about their own window.
+pub fn armed_here() -> bool {
+    ACTIVE.with(|a| a.borrow().is_some())
+}
+
 /// Token proving an observation context is armed on this thread. Pass it
 /// back to [`disarm`] (after any `catch_unwind`, so the profile survives
 /// a panicking cell) to collect the [`CellProfile`].
@@ -485,7 +492,7 @@ mod tests {
 
     #[test]
     fn unarmed_sites_are_inert() {
-        assert!(!armed());
+        assert!(!armed_here());
         counter("x", 1);
         hist("y", 7);
         span_ns("z", 10);
@@ -536,7 +543,7 @@ mod tests {
         seqs.sort_unstable();
         assert_eq!(seqs, vec![0, 1, 2]);
         // Fully reset after disarm.
-        assert!(!armed());
+        assert!(!armed_here());
     }
 
     #[test]
@@ -625,6 +632,7 @@ mod tests {
                         let profile = disarm(token);
                         registry.lock().expect("registry lock").absorb(&profile);
                     }
+                    assert!(!armed_here(), "worker {w} disarmed every context");
                 });
             }
         });
@@ -634,7 +642,6 @@ mod tests {
         assert_eq!(reg.counter("work.units"), (0..32).sum::<u64>());
         assert_eq!(reg.hists["work.size"].count, 32);
         assert_eq!(reg.stages["work.stage"], (32, 320));
-        assert!(!armed(), "all contexts disarmed");
     }
 
     #[test]

@@ -100,6 +100,26 @@ impl CodeMap {
             .map(|s| &s.bytes[(addr - s.base) as usize..])
     }
 
+    /// The lowest text address at or above `addr`, if any: `addr` itself
+    /// when it is text, else the base of the next text segment.
+    #[must_use]
+    pub(crate) fn next_text_at_or_after(&self, addr: u64) -> Option<u64> {
+        self.segs
+            .iter()
+            .filter(|s| s.is_text && s.base + s.bytes.len() as u64 > addr)
+            .map(|s| s.base.max(addr))
+            .min()
+    }
+
+    /// A map of raw segments with no symbols, for unit tests.
+    #[cfg(test)]
+    pub(crate) fn from_segments(segs: Vec<Segment>) -> CodeMap {
+        CodeMap {
+            segs,
+            symbols: BTreeMap::new(),
+        }
+    }
+
     /// Reads `size` (1/2/4/8) little-endian bytes of static data at `addr`.
     #[must_use]
     pub fn read_uint(&self, addr: u64, size: u64) -> Option<u64> {

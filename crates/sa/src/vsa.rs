@@ -411,64 +411,9 @@ impl<'a> Vsa<'a> {
         if !unresolved_jr {
             return;
         }
-        let mut covered: Vec<(u64, u64)> =
-            self.cfg.blocks.values().map(|b| (b.start, b.end)).collect();
-        covered.sort_unstable();
-        let mut pc = match covered.first() {
-            Some(&(s, _)) => s,
-            None => return,
-        };
-        let end = covered.iter().map(|&(_, e)| e).max().unwrap_or(pc);
-        // Which syscall a bare `sys` in orphan code would make: tracked
-        // from the nearest preceding `li sv, imm` in the same linear run.
-        // Calls clobber `sv` (caller-saved), so they reset the tracking.
-        let mut last_sv: Option<u64> = None;
-        while pc < end {
-            if let Some(&(bs, be)) = covered.iter().find(|&&(s, e)| s <= pc && pc < e) {
-                let _ = bs;
-                pc = be;
-                last_sv = None;
-                continue;
-            }
-            match self.code.text_at(pc).map(Insn::decode) {
-                Some(Ok((insn, len))) => {
-                    match insn {
-                        Insn::Store { .. } | Insn::Push { .. } | Insn::FSt { .. } => {
-                            self.cover.unknown = true;
-                            return;
-                        }
-                        Insn::Li { rd, imm } if rd == Reg::SV => last_sv = Some(imm),
-                        Insn::Call { .. } | Insn::Callr { .. } => last_sv = None,
-                        Insn::Sys => {
-                            // Only memory-writing syscalls (or an unknown
-                            // number) poison the cover; an orphan exit or
-                            // write stub is harmless.
-                            let writes = !matches!(
-                                last_sv,
-                                Some(
-                                    sys::EXIT
-                                        | sys::WRITE
-                                        | sys::CLOSE
-                                        | sys::TIME
-                                        | sys::GETPID
-                                        | sys::GETUID
-                                        | sys::THREAD_EXIT
-                                )
-                            );
-                            if writes {
-                                self.cover.unknown = true;
-                                return;
-                            }
-                        }
-                        _ => {}
-                    }
-                    pc += len as u64;
-                }
-                _ => {
-                    pc += 1;
-                    last_sv = None;
-                }
-            }
+        let blocks: Vec<(u64, u64)> = self.cfg.blocks.values().map(|b| (b.start, b.end)).collect();
+        if sweep_orphan_text(self.code, &blocks).poisons {
+            self.cover.unknown = true;
         }
     }
 
@@ -1405,9 +1350,359 @@ fn may_equal(a: &StridedInterval, b: &StridedInterval) -> bool {
     true
 }
 
+/// What [`sweep_orphan_text`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sweep {
+    /// Orphan text holds a store or a memory-writing syscall.
+    poisons: bool,
+    /// Loop iterations: one per orphan instruction or undecodable byte,
+    /// one per covered run skipped, one per non-text gap jumped.
+    steps: u64,
+}
+
+/// Sweeps the text between the first block start and the last block end
+/// that no `(start, end)` block covers. Covered runs are merged once and
+/// skipped whole, and a non-text gap is jumped in one step, so the cost is
+/// linear in text bytes and blocks, not in the address span.
+fn sweep_orphan_text(code: &CodeMap, blocks: &[(u64, u64)]) -> Sweep {
+    let mut sorted = blocks.to_vec();
+    sorted.sort_unstable();
+    let mut sweep = Sweep {
+        poisons: false,
+        steps: 0,
+    };
+    let (Some(&(mut pc, _)), Some(end)) = (sorted.first(), sorted.iter().map(|&(_, e)| e).max())
+    else {
+        return sweep;
+    };
+    // Overlapping and adjacent blocks form one run: stepping from block
+    // end to block end through them lands at the run's end either way.
+    let mut covered: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
+    for (s, e) in sorted.into_iter().filter(|&(s, e)| s < e) {
+        match covered.last_mut() {
+            Some(run) if s <= run.1 => run.1 = run.1.max(e),
+            _ => covered.push((s, e)),
+        }
+    }
+    // Index of the first covered run ending after `pc`.
+    let mut next_run = 0;
+    // Which syscall a bare `sys` in orphan code would make: tracked
+    // from the nearest preceding `li sv, imm` in the same linear run.
+    let mut last_sv: Option<u64> = None;
+    while pc < end {
+        sweep.steps += 1;
+        while covered.get(next_run).is_some_and(|&(_, e)| e <= pc) {
+            next_run += 1;
+        }
+        if let Some(&(s, e)) = covered.get(next_run) {
+            if s <= pc {
+                pc = e;
+                last_sv = None;
+                continue;
+            }
+        }
+        let Some(bytes) = code.text_at(pc) else {
+            // Not text: jump to the next text byte. A covered run inside
+            // the gap only resets `last_sv`, as the jump itself does.
+            pc = code.next_text_at_or_after(pc).unwrap_or(end);
+            last_sv = None;
+            continue;
+        };
+        match Insn::decode(bytes) {
+            Ok((insn, len)) => {
+                if orphan_insn_poisons(&insn, &mut last_sv) {
+                    sweep.poisons = true;
+                    return sweep;
+                }
+                pc += len as u64;
+            }
+            Err(_) => {
+                pc += 1;
+                last_sv = None;
+            }
+        }
+    }
+    sweep
+}
+
+/// Whether one orphan instruction may write memory. `last_sv` tracks the
+/// syscall number a `sys` would use; calls clobber `sv` (caller-saved),
+/// so they reset it.
+fn orphan_insn_poisons(insn: &Insn, last_sv: &mut Option<u64>) -> bool {
+    match *insn {
+        Insn::Store { .. } | Insn::Push { .. } | Insn::FSt { .. } => true,
+        Insn::Li { rd, imm } if rd == Reg::SV => {
+            *last_sv = Some(imm);
+            false
+        }
+        Insn::Call { .. } | Insn::Callr { .. } => {
+            *last_sv = None;
+            false
+        }
+        // Only memory-writing syscalls (or an unknown number) poison the
+        // cover; an orphan exit or write stub is harmless.
+        Insn::Sys => !matches!(
+            *last_sv,
+            Some(
+                sys::EXIT
+                    | sys::WRITE
+                    | sys::CLOSE
+                    | sys::TIME
+                    | sys::GETPID
+                    | sys::GETUID
+                    | sys::THREAD_EXIT
+            )
+        ),
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::Segment;
+
+    /// The byte walk `sweep_orphan_text` replaced: one step per address
+    /// from the first block start to the last block end, with a linear
+    /// search of the blocks at each. Quadratic; kept as a reference.
+    fn naive_sweep(code: &CodeMap, blocks: &[(u64, u64)]) -> Sweep {
+        let mut covered = blocks.to_vec();
+        covered.sort_unstable();
+        let mut sweep = Sweep {
+            poisons: false,
+            steps: 0,
+        };
+        let Some(&(mut pc, _)) = covered.first() else {
+            return sweep;
+        };
+        let end = covered.iter().map(|&(_, e)| e).max().unwrap_or(pc);
+        let mut last_sv: Option<u64> = None;
+        while pc < end {
+            sweep.steps += 1;
+            if let Some(&(_, be)) = covered.iter().find(|&&(s, e)| s <= pc && pc < e) {
+                pc = be;
+                last_sv = None;
+                continue;
+            }
+            match code.text_at(pc).map(Insn::decode) {
+                Some(Ok((insn, len))) => {
+                    if orphan_insn_poisons(&insn, &mut last_sv) {
+                        sweep.poisons = true;
+                        return sweep;
+                    }
+                    pc += len as u64;
+                }
+                _ => {
+                    pc += 1;
+                    last_sv = None;
+                }
+            }
+        }
+        sweep
+    }
+
+    fn text(base: u64, insns: &[Insn]) -> Segment {
+        let mut bytes = Vec::new();
+        for insn in insns {
+            insn.encode(&mut bytes);
+        }
+        Segment {
+            base,
+            bytes,
+            is_text: true,
+        }
+    }
+
+    /// Exe text with an unresolved `jr a0` at its entry and two harmless
+    /// orphan instructions; library text `gap` bytes further on with
+    /// `lib_orphan` ahead of a rooted `ret`.
+    fn two_text_map(gap: u64, lib_orphan: &[Insn]) -> (CodeMap, BTreeMap<u64, String>) {
+        let exe = text(
+            layout::TEXT_BASE,
+            &[Insn::Jr { rs: Reg::A0 }, Insn::Nop, Insn::Nop],
+        );
+        let lib_base = layout::TEXT_BASE + exe.bytes.len() as u64 + gap;
+        let mut lib_insns = lib_orphan.to_vec();
+        lib_insns.push(Insn::Ret);
+        let lib = text(lib_base, &lib_insns);
+        let lib_ret = lib_base + lib.bytes.len() as u64 - 1;
+        let roots = BTreeMap::from([
+            (layout::TEXT_BASE, "_start".to_string()),
+            (lib_ret, "lib_fn".to_string()),
+        ]);
+        (CodeMap::from_segments(vec![exe, lib]), roots)
+    }
+
+    fn orphan_store() -> Insn {
+        Insn::Store {
+            op: Opcode::Sd,
+            src: Reg::A0,
+            base: Reg::SP,
+            off: 0,
+        }
+    }
+
+    #[test]
+    fn sweep_cost_grows_with_text_bytes_not_with_the_gap() {
+        let harmless = [
+            Insn::Li {
+                rd: Reg::SV,
+                imm: sys::EXIT,
+            },
+            Insn::Sys,
+        ];
+        for (gap, nops, want) in [(4 << 20, 0, 7), (8 << 20, 0, 7), (4 << 20, 10, 17)] {
+            let mut orphan = vec![Insn::Nop; nops];
+            orphan.extend(harmless);
+            let (code, roots) = two_text_map(gap, &orphan);
+            let cfg = crate::cfg::build(&code, &roots, &crate::cfg::CfgInput::default());
+            assert!(
+                cfg.jr_sites.values().any(BTreeSet::is_empty),
+                "the entry jr stays unresolved"
+            );
+            let blocks: Vec<(u64, u64)> = cfg.blocks.values().map(|b| (b.start, b.end)).collect();
+            let sweep = sweep_orphan_text(&code, &blocks);
+            assert!(!sweep.poisons);
+            // jr block, two nops, the gap, `nops` more, li, sys, ret block.
+            assert_eq!(sweep.steps, want, "gap of {gap} bytes, {nops} nops");
+            if (gap, nops) == (4 << 20, 0) {
+                let naive = naive_sweep(&code, &blocks);
+                assert_eq!(naive.poisons, sweep.poisons);
+                assert!(naive.steps > gap, "the byte walk steps through the gap");
+            }
+        }
+    }
+
+    #[test]
+    fn orphan_store_past_the_gap_poisons_the_cover() {
+        for (orphan, poisons) in [(vec![orphan_store()], true), (vec![Insn::Nop], false)] {
+            let (code, roots) = two_text_map(4 << 20, &orphan);
+            let cfg = crate::cfg::build(&code, &roots, &crate::cfg::CfgInput::default());
+            let run = Vsa::run(
+                &code,
+                &cfg,
+                layout::TEXT_BASE,
+                false,
+                Cover::default(),
+                &BTreeSet::new(),
+            );
+            assert_eq!(run.cover.unknown, poisons, "orphan {orphan:?}");
+        }
+    }
+
+    /// xorshift64*: a fixed-seed source for the random layouts below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Random text: mostly harmless instructions, with `li sv, …` before
+    /// `sys`, calls, stores and undecodable bytes mixed in. Pushes each
+    /// instruction's address onto `starts`.
+    fn random_text(rng: &mut Rng, base: u64, len: u64, starts: &mut Vec<u64>) -> Segment {
+        let mut bytes = Vec::new();
+        while (bytes.len() as u64) < len {
+            starts.push(base + bytes.len() as u64);
+            let insn = match rng.below(24) {
+                0 => orphan_store(),
+                1 => Insn::Push { rs: Reg::A0 },
+                2 | 3 => Insn::Sys,
+                4..=6 => Insn::Li {
+                    rd: Reg::SV,
+                    imm: [sys::EXIT, sys::WRITE, sys::READ, sys::OPEN][rng.below(4) as usize],
+                },
+                7 => Insn::Call { rel: 0 },
+                8..=10 => {
+                    bytes.push(0xff);
+                    continue;
+                }
+                11..=14 => Insn::Mov {
+                    rd: Reg::A0,
+                    rs: Reg::SP,
+                },
+                _ => Insn::Nop,
+            };
+            insn.encode(&mut bytes);
+        }
+        Segment {
+            base,
+            bytes,
+            is_text: true,
+        }
+    }
+
+    #[test]
+    fn linear_sweep_matches_the_byte_walk_on_random_layouts() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut seen = [0usize; 2];
+        for _ in 0..3000 {
+            let mut segs = Vec::new();
+            let mut starts = Vec::new();
+            let mut base = layout::TEXT_BASE + rng.below(16);
+            for _ in 0..=rng.below(3) {
+                let len = 1 + rng.below(64);
+                let seg = if rng.below(4) == 0 {
+                    Segment {
+                        base,
+                        bytes: vec![0x41; len as usize],
+                        is_text: false,
+                    }
+                } else {
+                    random_text(&mut rng, base, len, &mut starts)
+                };
+                base += seg.bytes.len() as u64 + rng.below(48);
+                segs.push(seg);
+            }
+            let lo = layout::TEXT_BASE;
+            let span = base - lo + 8;
+            let mut blocks: Vec<(u64, u64)> = Vec::new();
+            for _ in 0..rng.below(8) {
+                let block = match (rng.below(4), blocks.last().copied()) {
+                    // Nested in the previous block.
+                    (0, Some((s, e))) => {
+                        let ns = s + rng.below(e - s + 1);
+                        (ns, ns + rng.below(e - ns + 1))
+                    }
+                    // Adjacent to the previous block.
+                    (1, Some((_, e))) => (e, e + rng.below(24)),
+                    // Between instruction starts, as recovered blocks are.
+                    (2, _) if !starts.is_empty() => {
+                        let i = rng.below(starts.len() as u64) as usize;
+                        let j = (i + rng.below(4) as usize).min(starts.len() - 1);
+                        (starts[i], starts[j])
+                    }
+                    // Anywhere, possibly overlapping or empty.
+                    _ => {
+                        let s = lo + rng.below(span);
+                        (s, s + rng.below(32))
+                    }
+                };
+                blocks.push(block);
+            }
+            let code = CodeMap::from_segments(segs);
+            let fast = sweep_orphan_text(&code, &blocks);
+            let naive = naive_sweep(&code, &blocks);
+            assert_eq!(
+                fast.poisons, naive.poisons,
+                "blocks {blocks:?} over {code:?}"
+            );
+            assert!(fast.steps <= naive.steps);
+            seen[usize::from(fast.poisons)] += 1;
+        }
+        assert!(
+            seen.iter().all(|&n| n > 100),
+            "both outcomes exercised: {seen:?}"
+        );
+    }
 
     #[test]
     fn branch_feasibility_proofs() {

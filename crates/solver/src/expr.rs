@@ -897,7 +897,14 @@ impl Term {
 
     /// Whether the term contains any floating-point node.
     pub fn has_float(&self) -> bool {
-        let mut stack = vec![self.clone()];
+        Term::any_has_float([self])
+    }
+
+    /// Whether any of `terms` contains a floating-point node. One walk
+    /// with one visited set, so a subterm shared between terms is
+    /// visited once.
+    pub fn any_has_float<'a>(terms: impl IntoIterator<Item = &'a Term>) -> bool {
+        let mut stack: Vec<Term> = terms.into_iter().cloned().collect();
         let mut visited = IdSet::default();
         while let Some(t) = stack.pop() {
             if !visited.insert(t.id()) {

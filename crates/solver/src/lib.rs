@@ -602,7 +602,7 @@ impl Solver {
             }
         }
 
-        if live.iter().any(Term::has_float) {
+        if Term::any_has_float(&live) {
             // Floating-point queries take the whole-conjunction fallback
             // paths (shortcut / local search) and are never sliced: the
             // shortcut's validity depends on validating *all* constraints

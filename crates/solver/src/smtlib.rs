@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 /// DAG size.
 pub fn to_smtlib(constraints: &[Term]) -> String {
     let mut out = String::new();
-    let has_float = constraints.iter().any(Term::has_float);
+    let has_float = Term::any_has_float(constraints);
     let _ = writeln!(
         out,
         "(set-logic {})",

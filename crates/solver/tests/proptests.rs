@@ -1,7 +1,7 @@
 //! Property tests for the solver stack: smart-constructor soundness,
 //! bit-blast/eval agreement, and model validity.
 
-use bomblab_solver::expr::{eval, BvOp, CmpOp, Term, Value};
+use bomblab_solver::expr::{eval, BvOp, CmpOp, FOp, Node, Term, Value};
 use bomblab_solver::{SolveOutcome, Solver};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -65,6 +65,78 @@ fn build(ast: &Ast, width: u8) -> Term {
         Ast::Not(a) => Term::bvnot(&build(a, width)),
         Ast::Neg(a) => Term::bvneg(&build(a, width)),
     }
+}
+
+/// One step of a term-building program. Operands index into the terms
+/// built so far (modulo their count), so later steps share earlier
+/// subterms and the roots form one DAG, as path conditions do.
+#[derive(Debug, Clone)]
+enum Step {
+    Bin(BvOp, usize, usize),
+    Ite(usize, usize, usize),
+    /// `f_bits(cvt_si_to_f(a) + f_from_bits(b))`: a float subterm under a
+    /// bit-vector.
+    Float(usize, usize),
+    /// `cvt_f_to_si(f_from_bits(a))`.
+    Trunc(usize),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0usize..OPS.len(), any::<usize>(), any::<usize>())
+            .prop_map(|(i, a, b)| Step::Bin(OPS[i], a, b)),
+        (any::<usize>(), any::<usize>(), any::<usize>()).prop_map(|(c, t, e)| Step::Ite(c, t, e)),
+        (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Step::Float(a, b)),
+        any::<usize>().prop_map(Step::Trunc),
+    ]
+}
+
+/// Runs `steps` over the leaves `x`, `y` and a constant, then picks
+/// comparisons of the built terms as roots.
+fn build_dag(steps: &[Step], roots: &[(usize, usize)]) -> Vec<Term> {
+    let mut pool = vec![Term::var("x", 64), Term::var("y", 64), Term::bv(7, 64)];
+    for step in steps {
+        let at = |i: usize| pool[i % pool.len()].clone();
+        let t = match *step {
+            Step::Bin(op, a, b) => Term::bin(op, &at(a), &at(b)),
+            Step::Ite(c, t, e) => {
+                let cond = Term::cmp(CmpOp::Ult, &at(c), &at(t));
+                Term::ite(&cond, &at(t), &at(e))
+            }
+            Step::Float(a, b) => {
+                let sum = Term::fbin(
+                    FOp::Add,
+                    &Term::cvt_si_to_f(&at(a)),
+                    &Term::f_from_bits(&at(b)),
+                );
+                Term::f_bits(&sum)
+            }
+            Step::Trunc(a) => Term::cvt_f_to_si(&Term::f_from_bits(&at(a))),
+        };
+        pool.push(t);
+    }
+    roots
+        .iter()
+        .map(|&(a, b)| Term::cmp(CmpOp::Eq, &pool[a % pool.len()], &pool[b % pool.len()]))
+        .collect()
+}
+
+/// Reference float check over `topo_order`, a walker of its own.
+fn has_float_by_topo_order(t: &Term) -> bool {
+    t.topo_order().iter().any(|n| {
+        matches!(
+            n.node(),
+            Node::FConst(_)
+                | Node::FBin { .. }
+                | Node::FNeg(_)
+                | Node::FSqrt(_)
+                | Node::FCmp { .. }
+                | Node::CvtSiToF(_)
+                | Node::CvtFToSi(_)
+                | Node::FFromBits(_)
+                | Node::FBits(_)
+        )
+    })
 }
 
 fn env(x: u64, y: u64) -> HashMap<Arc<str>, u64> {
@@ -231,6 +303,20 @@ proptest! {
         let got = eval(&first, &env(x, y)).expect("closed").bits();
         let want = naive(&ast, x & 0xffff, y & 0xffff, width);
         prop_assert_eq!(got, want, "interned term diverged from reference semantics");
+    }
+
+    /// The one-walk float check over many roots agrees with checking each
+    /// root on its own, on DAGs whose roots share subterms, and both agree
+    /// with a scan of each root's topological order.
+    #[test]
+    fn any_has_float_matches_per_term_check(
+        steps in proptest::collection::vec(arb_step(), 0..24),
+        roots in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+    ) {
+        let terms = build_dag(&steps, &roots);
+        let any = Term::any_has_float(&terms);
+        prop_assert_eq!(any, terms.iter().any(Term::has_float));
+        prop_assert_eq!(any, terms.iter().any(has_float_by_topo_order));
     }
 
     /// `extract`/`concat`/extensions respect the evaluator on random data.

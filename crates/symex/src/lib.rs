@@ -210,7 +210,8 @@ impl SymResult {
 
     /// Whether any collected constraint involves floating point.
     pub fn has_float(&self) -> bool {
-        self.path.iter().any(|p| p.cond.has_float()) || self.pins.iter().any(|p| p.cond.has_float())
+        let conds = self.path.iter().map(|p| &p.cond);
+        Term::any_has_float(conds.chain(self.pins.iter().map(|p| &p.cond)))
     }
 }
 
