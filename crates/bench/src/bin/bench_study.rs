@@ -202,7 +202,6 @@ fn render(
     let mut bb_invalidations = 0u64;
     let (mut blockers, mut propagations, mut evictions) = (0u64, 0u64, 0u64);
     let (mut retries, mut quarantined, mut backoff_ns) = (0u64, 0u64, 0u64);
-    let (mut disk_hits, mut seg_rejected) = (0u64, 0u64);
     for row in &report.rows {
         for cell in &row.cells {
             let ev = &cell.attempt.evidence;
@@ -224,8 +223,6 @@ fn render(
             retries += u64::from(ev.retries);
             quarantined += u64::from(ev.quarantined);
             backoff_ns += ev.retry_backoff_ns;
-            disk_hits += ev.disk_cache_hits;
-            seg_rejected += ev.cache_segments_rejected;
             if !cells.is_empty() {
                 cells.push_str(",\n");
             }
@@ -248,8 +245,7 @@ fn render(
                  \"cache_hits\": {}, \"cache_misses\": {}, \
                  \"roots_blasted\": {}, \"roots_reused\": {}, \
                  \"propagations\": {}, \"blocker_skips\": {}, \
-                 \"retries\": {}, \"quarantined\": {}, \
-                 \"disk_cache_hits\": {}, \"cache_segments_rejected\": {}}}",
+                 \"retries\": {}, \"quarantined\": {}}}",
                 row.name,
                 cell.profile,
                 cell.outcome,
@@ -276,8 +272,6 @@ fn render(
                 ev.blocker_skips,
                 ev.retries,
                 ev.quarantined,
-                ev.disk_cache_hits,
-                ev.cache_segments_rejected,
             );
         }
     }
@@ -343,8 +337,7 @@ fn render(
          \"sat\": {{\"propagations\": {propagations}, \"blocker_skips\": {blockers}, \
          \"lbd_evictions\": {evictions}}},\n  \
          \"durability\": {{\"retries\": {retries}, \"quarantined\": {quarantined}, \
-         \"retry_backoff_ms\": {:.3}, \"disk_cache_hits\": {disk_hits}, \
-         \"cache_segments_rejected\": {seg_rejected}, \"cells_replayed\": {}, \
+         \"retry_backoff_ms\": {:.3}, \"cells_replayed\": {}, \
          \"checkpoint_io_errors\": {}}},\n  \
          \"cells\": [\n{cells}\n  ]\n}}\n",
         report.rows.len(),

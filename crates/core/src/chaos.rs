@@ -26,7 +26,7 @@ pub struct ChaosConfig {
     /// Faults drawn per plan.
     pub faults: u32,
     /// Extra faults drawn against the durability I/O sites (checkpoint
-    /// writes/renames, cache segment loads) from an independent stream,
+    /// writes and renames) from an independent stream,
     /// so enabling them never perturbs the engine-site draw.
     pub io_faults: u32,
     /// Retry budget handed to the study runner (transient failures only).
@@ -40,9 +40,6 @@ pub struct ChaosConfig {
     /// Checkpoint journal directory (gives checkpoint fault sites a
     /// surface to fire on).
     pub checkpoint: Option<PathBuf>,
-    /// Persistent solver-cache directory (gives cache-load fault sites a
-    /// surface to fire on).
-    pub solver_cache_dir: Option<PathBuf>,
 }
 
 impl Default for ChaosConfig {
@@ -57,7 +54,6 @@ impl Default for ChaosConfig {
             cell_deadline: Some(Duration::from_secs(300)),
             observe: false,
             checkpoint: None,
-            solver_cache_dir: None,
         }
     }
 }
@@ -105,7 +101,6 @@ pub fn chaos_sweep(
                     retries: config.retries,
                     checkpoint: config.checkpoint.clone(),
                     resume: false,
-                    solver_cache_dir: config.solver_cache_dir.clone(),
                     shared_cache: true,
                 },
             );

@@ -10,7 +10,7 @@ use bomblab_ir::lift;
 use bomblab_isa::image::{layout, Image};
 use bomblab_obs as obs;
 use bomblab_solver::expr::{CmpOp, Term};
-use bomblab_solver::{DiskCache, ShardCache, SolveOutcome, Solver, UnknownReason};
+use bomblab_solver::{ShardCache, SolveOutcome, Solver, UnknownReason};
 use bomblab_symex::{SymExec, SymbolizeEnv};
 use bomblab_taint::{TaintEngine, TaintPolicy};
 use bomblab_vm::{Machine, RunStatus, Trace, BOOM_EXIT_CODE, ROOT_PID};
@@ -268,23 +268,17 @@ pub struct Evidence {
     /// Crash messages of the failed attempts that preceded this one, in
     /// order. Trace/bench material only — never rendered into reports.
     pub retry_log: Vec<String>,
-    /// Cache-missed slices answered from the persistent solver cache
-    /// (verified read-through hits), when a cache directory is armed.
-    pub disk_cache_hits: u64,
-    /// Persistent-cache segments rejected at load for corruption,
-    /// truncation, or version mismatch (then rebuilt on flush).
-    pub cache_segments_rejected: u64,
     /// Total CDCL propagations across all queries (denominator for the
     /// `blocker_skips` sanity bound — skips happen inside watch-list
     /// walks, which propagations drive).
     pub propagations: u64,
-    /// Cache-missed slices answered from the study-wide shared in-process
-    /// solver cache (verified read-through hits), when one is armed.
+    /// Cache-missed slices answered from the study-wide shared model store
+    /// (verified hits), when one is armed.
     pub shared_cache_hits: u64,
     /// Slice models this cell stored into the shared in-process cache.
     pub shared_cache_stores: u64,
-    /// Shared-cache models rejected by read-through verification (stale or
-    /// corrupt entries; counted, never answered from).
+    /// Shared-store models rejected by verification (stale or corrupt
+    /// entries; counted, never answered from).
     pub shared_cache_rejected: u64,
     /// Trace steps recorded with full operand capture, summed over rounds.
     pub trace_steps_full: u64,
@@ -463,7 +457,6 @@ pub fn ground_truth(subject: &Subject, trigger: &WorldInput) -> GroundTruth {
 pub struct Engine {
     profile: ToolProfile,
     hints: StaticHints,
-    cache_dir: Option<std::path::PathBuf>,
     shared_cache: Option<std::sync::Arc<ShardCache>>,
 }
 
@@ -473,7 +466,6 @@ impl Engine {
         Engine {
             profile,
             hints: StaticHints::default(),
-            cache_dir: None,
             shared_cache: None,
         }
     }
@@ -485,24 +477,11 @@ impl Engine {
         self
     }
 
-    /// Arms the persistent solver cache rooted at `dir`. Profiles with
-    /// `incremental_solver` read through it (every loaded model is
-    /// re-verified by concrete evaluation); stateless paper-tool profiles
-    /// attach write-only, warming the cache for later runs without any
-    /// observable effect on their own verdicts — Table II is byte-identical
-    /// with the cache armed or not.
-    #[must_use]
-    pub fn with_solver_cache_dir(mut self, dir: Option<std::path::PathBuf>) -> Engine {
-        self.cache_dir = dir;
-        self
-    }
-
-    /// Arms the study-wide shared in-process solver cache. The gating
-    /// discipline mirrors [`with_solver_cache_dir`](Engine::with_solver_cache_dir):
-    /// profiles with `incremental_solver` read through it (every loaded
-    /// model re-verified by concrete evaluation), stateless paper-tool
-    /// profiles attach write-only — warming the cache for sibling cells
-    /// without any observable effect on their own verdicts.
+    /// Arms the study-wide shared model store. Only profiles with
+    /// `incremental_solver` attach it: their long-lived solver reads it
+    /// (every loaded model re-verified by concrete evaluation) and records
+    /// into it. Stateless paper-tool profiles ignore it, so each of their
+    /// queries pays its full cost, as the paper measures each tool.
     #[must_use]
     pub fn with_shared_cache(mut self, cache: Option<std::sync::Arc<ShardCache>>) -> Engine {
         self.shared_cache = cache;
@@ -546,27 +525,16 @@ impl Engine {
         // multi-digit atoi) is a fresh key and gets its own query.
         let mut visited_flips: HashSet<(u64, u64, bool)> = HashSet::new();
 
-        // Persistent solver cache, shared by every solver of this attempt.
-        // Opening tolerates (and counts) corrupt segments; an unopenable
-        // directory simply runs the attempt cold — durability features are
-        // best-effort, never a new way for a cell to die.
-        let disk = self.cache_dir.as_ref().and_then(|dir| {
-            DiskCache::open(dir)
-                .ok()
-                .map(|c| std::rc::Rc::new(std::cell::RefCell::new(c)))
-        });
-
         // One solver for the whole attempt: its incremental blasting
         // session, query cache and learnt clauses persist across rounds,
         // so later rounds extend earlier CNF instead of re-emitting it.
         let mut solver = Solver::new()
             .with_budget(self.profile.solver_budget)
             .with_float_mode(self.profile.float_mode);
-        if let Some(d) = &disk {
-            solver = solver.with_disk_cache(d.clone(), self.profile.incremental_solver);
-        }
-        if let Some(shared) = &self.shared_cache {
-            solver = solver.with_shared_cache(shared.clone(), self.profile.incremental_solver);
+        if self.profile.incremental_solver {
+            if let Some(shared) = &self.shared_cache {
+                solver = solver.with_shared_cache(shared.clone());
+            }
         }
         let solver = solver;
 
@@ -853,30 +821,18 @@ impl Engine {
                 evidence.queries += 1;
                 let solve_start = std::time::Instant::now();
                 // Stateless profiles get a throwaway solver per query:
-                // no learnt clauses, no cached models, no incremental
-                // blasting — each query pays its full cost against the
-                // budget, the way the 2017-era tools did. The throwaway
-                // stays alive past `try_check` so its per-query optimizer
-                // statistics can be folded into the evidence.
+                // no learnt clauses, no cached models, no shared store, no
+                // incremental blasting — each query pays its full cost
+                // against the budget, the way the 2017-era tools did. The
+                // throwaway stays alive past `try_check` so its per-query
+                // optimizer statistics can be folded into the evidence.
                 let throwaway;
                 let active = if self.profile.incremental_solver {
                     &solver
                 } else {
-                    let mut t = Solver::new()
+                    throwaway = Solver::new()
                         .with_budget(self.profile.solver_budget)
                         .with_float_mode(self.profile.float_mode);
-                    if let Some(d) = &disk {
-                        // Write-only: the throwaway warms the persistent
-                        // cache but never reads it, preserving the
-                        // stateless profile's per-query cost model.
-                        t = t.with_disk_cache(d.clone(), false);
-                    }
-                    if let Some(shared) = &self.shared_cache {
-                        // Same write-only discipline for the shared
-                        // in-process cache.
-                        t = t.with_shared_cache(shared.clone(), false);
-                    }
-                    throwaway = t;
                     &throwaway
                 };
                 let result = active.try_check(&query);
@@ -952,15 +908,6 @@ impl Engine {
                 // has been exhausted the tool's run is over.
                 break 'rounds;
             }
-        }
-
-        if let Some(d) = &disk {
-            // Best-effort publish: a failed flush costs warmth, not the
-            // cell — the in-memory outcome is already decided.
-            let _ = d.borrow_mut().flush();
-            let dc = d.borrow();
-            evidence.disk_cache_hits = dc.hits();
-            evidence.cache_segments_rejected = dc.segments_rejected();
         }
 
         let cache = solver.cache_stats();

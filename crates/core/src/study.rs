@@ -115,18 +115,12 @@ pub struct StudyOptions {
     /// a missing, torn, or configuration-mismatched journal replays
     /// nothing and the study simply runs in full.
     pub resume: bool,
-    /// Directory for the persistent solver cache. Stateless paper-tool
-    /// profiles warm it write-only (their verdicts cannot change);
-    /// `incremental_solver` profiles read through it with every loaded
-    /// model re-verified by concrete evaluation.
-    pub solver_cache_dir: Option<PathBuf>,
-    /// Arm the study-wide shared in-process solver cache: one sharded
-    /// model store every cell's solvers attach to, so slices repeated
-    /// across (bomb, profile) cells are solved once per *study* instead of
-    /// once per cell. Same gating discipline as the disk cache — stateless
-    /// paper-tool profiles attach write-only, `incremental_solver`
-    /// profiles read through with concrete-eval re-verification — so
-    /// Table II stays byte-identical with this on or off. On by default.
+    /// Arm the study-wide shared model store: one sharded, in-process
+    /// store that every `incremental_solver` profile's solver reads (with
+    /// concrete-eval re-verification) and records into, so slices repeated
+    /// across cells are solved once per *study* instead of once per cell.
+    /// Stateless paper-tool profiles never attach it, so Table II stays
+    /// byte-identical with this on or off. On by default.
     pub shared_cache: bool,
 }
 
@@ -144,7 +138,6 @@ impl Default for StudyOptions {
             retries: 0,
             checkpoint: None,
             resume: false,
-            solver_cache_dir: None,
             shared_cache: true,
         }
     }
@@ -479,12 +472,6 @@ impl StudyReport {
                 }
                 if ev.retry_backoff_ns > 0 {
                     line = line.u64("retry_backoff_ns", ev.retry_backoff_ns);
-                }
-                if ev.disk_cache_hits > 0 {
-                    line = line.u64("disk_cache_hits", ev.disk_cache_hits);
-                }
-                if ev.cache_segments_rejected > 0 {
-                    line = line.u64("cache_segments_rejected", ev.cache_segments_rejected);
                 }
                 if ev.shared_cache_hits > 0 {
                     line = line.u64("shared_cache_hits", ev.shared_cache_hits);
@@ -1048,8 +1035,7 @@ fn replay_cell(
 /// Fingerprint of everything that determines cell outcomes, stamped into
 /// the journal header: resuming under a different matrix, fault plan,
 /// retry budget, or deadline must ignore the journal rather than splice
-/// foreign cells into the report. (The solver cache directory is excluded
-/// on purpose — the persistent cache is verdict-neutral by construction.)
+/// foreign cells into the report.
 fn study_fingerprint(cases: &[StudyCase], profiles: &[ToolProfile], options: &StudyOptions) -> u64 {
     let mut parts: Vec<String> = Vec::new();
     for case in cases {
@@ -1206,7 +1192,7 @@ pub fn run_study_with(
     };
 
     // One shared in-process solver cache for the whole study (all cells,
-    // all workers). Read-through is gated per profile inside the engine.
+    // all workers). Only incremental profiles attach it (engine-gated).
     let shared_cache = options
         .shared_cache
         .then(bomblab_solver::ShardCache::shared);
@@ -1297,7 +1283,6 @@ pub fn run_study_with(
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     Engine::new(profile.clone())
                         .with_static_hints(hints.clone())
-                        .with_solver_cache_dir(options.solver_cache_dir.clone())
                         .with_shared_cache(shared_cache.clone())
                         .explore(&case.subject, ground)
                 }));

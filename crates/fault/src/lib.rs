@@ -51,30 +51,23 @@ pub enum FaultSite {
     EngineRound,
     /// Writing a checkpoint-journal record (one hit per append).
     CheckpointWrite,
-    /// The atomic rename that publishes a checkpoint or cache file.
+    /// The atomic rename that publishes a checkpoint file.
     CheckpointRename,
-    /// Loading one persistent solver-cache segment from disk.
-    CacheSegmentLoad,
 }
 
 impl FaultSite {
     /// All sites, in counter-index order.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 6] = [
         FaultSite::VmStep,
         FaultSite::SolverQuery,
         FaultSite::CfgBuild,
         FaultSite::EngineRound,
         FaultSite::CheckpointWrite,
         FaultSite::CheckpointRename,
-        FaultSite::CacheSegmentLoad,
     ];
 
     /// The durability-layer sites, drawn from by [`FaultPlan::random_io`].
-    pub const IO_SITES: [FaultSite; 3] = [
-        FaultSite::CheckpointWrite,
-        FaultSite::CheckpointRename,
-        FaultSite::CacheSegmentLoad,
-    ];
+    pub const IO_SITES: [FaultSite; 2] = [FaultSite::CheckpointWrite, FaultSite::CheckpointRename];
 
     fn index(self) -> usize {
         match self {
@@ -84,7 +77,6 @@ impl FaultSite {
             FaultSite::EngineRound => 3,
             FaultSite::CheckpointWrite => 4,
             FaultSite::CheckpointRename => 5,
-            FaultSite::CacheSegmentLoad => 6,
         }
     }
 
@@ -96,7 +88,6 @@ impl FaultSite {
             FaultSite::EngineRound => "engine_round",
             FaultSite::CheckpointWrite => "checkpoint_write",
             FaultSite::CheckpointRename => "checkpoint_rename",
-            FaultSite::CacheSegmentLoad => "cache_segment_load",
         }
     }
 
@@ -115,7 +106,6 @@ impl FaultSite {
             FaultSite::EngineRound => &[FaultAction::Panic, FaultAction::Stall],
             FaultSite::CheckpointWrite => &[FaultAction::TornWrite, FaultAction::Panic],
             FaultSite::CheckpointRename => &[FaultAction::RenameFail, FaultAction::Panic],
-            FaultSite::CacheSegmentLoad => &[FaultAction::ShortRead, FaultAction::BitFlip],
         }
     }
 }
@@ -136,7 +126,6 @@ impl std::str::FromStr for FaultSite {
             "engine_round" => Ok(FaultSite::EngineRound),
             "checkpoint_write" => Ok(FaultSite::CheckpointWrite),
             "checkpoint_rename" => Ok(FaultSite::CheckpointRename),
-            "cache_segment_load" => Ok(FaultSite::CacheSegmentLoad),
             other => Err(format!("unknown fault site `{other}`")),
         }
     }
@@ -159,15 +148,9 @@ pub enum FaultAction {
     /// A checkpoint append writes only a prefix of the record (power loss
     /// mid-write; the journal loader must drop the torn tail).
     TornWrite,
-    /// A persistent-cache segment read returns fewer bytes than the file
-    /// holds (truncated segment; the checksum must reject it).
-    ShortRead,
     /// The tmp-file → final-name rename fails (the published file keeps
     /// its previous contents).
     RenameFail,
-    /// One bit of a loaded cache segment is flipped (silent media
-    /// corruption; the checksum must reject it).
-    BitFlip,
 }
 
 impl FaultAction {
@@ -179,9 +162,7 @@ impl FaultAction {
             FaultAction::MemFault => "mem_fault",
             FaultAction::Unknown => "unknown",
             FaultAction::TornWrite => "torn_write",
-            FaultAction::ShortRead => "short_read",
             FaultAction::RenameFail => "rename_fail",
-            FaultAction::BitFlip => "bit_flip",
         }
     }
 }
@@ -202,9 +183,7 @@ impl std::str::FromStr for FaultAction {
             "mem_fault" => Ok(FaultAction::MemFault),
             "unknown" => Ok(FaultAction::Unknown),
             "torn_write" => Ok(FaultAction::TornWrite),
-            "short_read" => Ok(FaultAction::ShortRead),
             "rename_fail" => Ok(FaultAction::RenameFail),
-            "bit_flip" => Ok(FaultAction::BitFlip),
             other => Err(format!("unknown fault action `{other}`")),
         }
     }
@@ -302,9 +281,9 @@ impl FaultPlan {
                     FaultSite::EngineRound => splitmix(&mut state) % 4,
                     // Never drawn above: the durability sites belong to
                     // `random_io`, keeping this generator byte-stable.
-                    FaultSite::CheckpointWrite
-                    | FaultSite::CheckpointRename
-                    | FaultSite::CacheSegmentLoad => splitmix(&mut state) % 2,
+                    FaultSite::CheckpointWrite | FaultSite::CheckpointRename => {
+                        splitmix(&mut state) % 2
+                    }
                 };
                 Fault { site, nth, action }
             })
@@ -313,16 +292,17 @@ impl FaultPlan {
     }
 
     /// Derives `k` faults targeting the durability layer (checkpoint
-    /// journal appends, atomic renames, cache-segment loads). Kept as a
+    /// journal appends and atomic renames). Kept as a
     /// separate generator so [`FaultPlan::random`]'s byte-stable site
     /// distribution — pinned by the fixed CI chaos seeds — is untouched.
     /// Hit counts are small because a cell performs at most a handful of
-    /// journal/cache operations per armed window.
+    /// journal operations per armed window.
     pub fn random_io(seed: u64, k: usize) -> FaultPlan {
         let mut state = seed ^ 0xA076_1D64_78BD_642F;
         let faults = (0..k)
             .map(|_| {
-                let site = FaultSite::IO_SITES[(splitmix(&mut state) % 3) as usize];
+                let site = FaultSite::IO_SITES
+                    [(splitmix(&mut state) % FaultSite::IO_SITES.len() as u64) as usize];
                 let actions = site.valid_actions();
                 let action = actions[(splitmix(&mut state) % actions.len() as u64) as usize];
                 let nth = 1 + splitmix(&mut state) % 2;
@@ -388,7 +368,7 @@ struct PlannedFault {
 
 struct ArmedState {
     faults: Vec<PlannedFault>,
-    site_hits: [u64; 7],
+    site_hits: [u64; FaultSite::ALL.len()],
     injected: u32,
     fired: Vec<String>,
     stalled: bool,
@@ -447,7 +427,7 @@ pub fn arm(plan: Option<&FaultPlan>, deadline: Option<Duration>) -> Armed {
                         .collect()
                 })
                 .unwrap_or_default(),
-            site_hits: [0; 7],
+            site_hits: [0; FaultSite::ALL.len()],
             injected: 0,
             fired: Vec::new(),
             stalled: false,
@@ -702,6 +682,21 @@ mod tests {
         assert_ne!(FaultPlan::random(1, 4), FaultPlan::random(2, 4));
     }
 
+    /// `random`'s output for the seeds CI's chaos steps start from: a
+    /// change to the site list or the draw shifts every fixed-seed sweep.
+    #[test]
+    fn random_plans_are_pinned_for_the_ci_seeds() {
+        let pins = [
+            (1, "seed=1 engine_round@3=panic engine_round@3=stall engine_round@4=stall vm_step@491=decode_error"),
+            (5, "seed=5 engine_round@3=stall solver_query@1=unknown cfg_build@2=panic engine_round@3=stall"),
+            (7, "seed=7 engine_round@2=stall engine_round@2=stall engine_round@3=stall vm_step@1528=panic"),
+            (11, "seed=11 vm_step@1139=stall engine_round@3=panic engine_round@3=stall cfg_build@3=panic"),
+        ];
+        for (seed, text) in pins {
+            assert_eq!(FaultPlan::random(seed, 4).to_text(), text, "seed {seed}");
+        }
+    }
+
     #[test]
     fn io_plans_are_deterministic_and_stick_to_io_sites() {
         for seed in 0..50u64 {
@@ -742,9 +737,9 @@ mod tests {
                     action: FaultAction::RenameFail,
                 },
                 Fault {
-                    site: FaultSite::CacheSegmentLoad,
+                    site: FaultSite::CheckpointWrite,
                     nth: 2,
-                    action: FaultAction::BitFlip,
+                    action: FaultAction::Panic,
                 },
             ],
         };
@@ -752,8 +747,9 @@ mod tests {
         assert_eq!(
             text,
             "seed=9 checkpoint_write@1=torn_write checkpoint_rename@1=rename_fail \
-             cache_segment_load@2=bit_flip"
+             checkpoint_write@2=panic"
         );
+        assert!(FaultPlan::from_text("seed=9 cache_segment_load@2=bit_flip").is_err());
         assert_eq!(FaultPlan::from_text(&text).unwrap(), plan);
     }
 

@@ -45,6 +45,10 @@ use crate::{CellProfile, Field};
 /// sanity bound requiring a non-empty arena whenever any step was
 /// recorded. All additions are optional fields, so v1–v4 traces still
 /// validate (each bound applies only when its counters are present).
+/// The v3 `disk_cache_hits` and `cache_segments_rejected` are no longer
+/// emitted (there is no on-disk model store any more) but stay accepted,
+/// without a version bump, so v3–v5 traces that carry them still
+/// validate.
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// Field kinds the validator distinguishes.
@@ -181,6 +185,7 @@ const SCHEMA: &[TypeSchema] = &[
             ("retries", Kind::U64),
             ("quarantined", Kind::Bool),
             ("retry_backoff_ns", Kind::U64),
+            // Retired: never emitted now, accepted for older traces.
             ("disk_cache_hits", Kind::U64),
             ("cache_segments_rejected", Kind::U64),
             ("propagations", Kind::U64),

@@ -36,7 +36,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod bitblast;
-pub mod diskcache;
 pub mod expr;
 pub mod idhash;
 pub mod interval;
@@ -46,14 +45,11 @@ pub mod simplify;
 pub mod slice;
 pub mod smtlib;
 
-pub use diskcache::DiskCache;
 pub use shardcache::ShardCache;
 
 use expr::{eval, Term, Value, Var};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Resource limits for a single `check` call.
@@ -299,19 +295,9 @@ pub struct Solver {
     no_query_cache: bool,
     no_simplify: bool,
     no_slice: bool,
-    /// Shared persistent model store ([`DiskCache`]), when attached.
-    disk: Option<Rc<RefCell<DiskCache>>>,
-    /// Whether cache-missed slices may be *answered* from the disk store
-    /// (hits are always re-verified by concrete evaluation). With this off
-    /// the solver only records models — the write-only mode stateless
-    /// paper-tool profiles use to warm the cache without changing answers.
-    disk_read: bool,
     /// Shared in-process model store ([`ShardCache`]), when attached:
     /// cross-cell reuse between the study's worker threads.
     shared: Option<Arc<shardcache::ShardCache>>,
-    /// Read-through gate for the shared store, same discipline as
-    /// `disk_read`: stateless paper-tool profiles attach write-only.
-    shared_read: bool,
     stats: std::cell::Cell<SolveStats>,
     cache_stats: std::cell::Cell<CacheStats>,
     state: std::cell::RefCell<SolverState>,
@@ -356,30 +342,15 @@ impl Solver {
         self
     }
 
-    /// Attaches a shared persistent model store. Satisfying slice models
-    /// are recorded into it; with `read_through` they also *answer*
-    /// cache-missed slices — after mandatory re-verification by concrete
-    /// evaluation, so a stale or corrupt store can never produce a wrong
-    /// model. Stateless paper-tool profiles attach write-only
-    /// (`read_through = false`): their per-query throwaway solvers warm the
-    /// store without observable effect on any verdict.
-    pub fn with_disk_cache(mut self, cache: Rc<RefCell<DiskCache>>, read_through: bool) -> Solver {
-        self.disk = Some(cache);
-        self.disk_read = read_through;
-        self
-    }
-
     /// Attaches a shared in-process model store ([`ShardCache`]) — the
-    /// study-wide cross-cell cache. Gating mirrors
-    /// [`with_disk_cache`](Solver::with_disk_cache): satisfying slice
-    /// models are always recorded; with `read_through` they may also
-    /// *answer* cache-missed slices, after mandatory re-verification by
-    /// concrete evaluation. Stateless paper-tool profiles attach
-    /// write-only (`read_through = false`), so Table II stays
-    /// byte-identical with the cache armed or not.
-    pub fn with_shared_cache(mut self, cache: Arc<ShardCache>, read_through: bool) -> Solver {
+    /// study-wide cross-cell cache. Satisfying slice models are recorded
+    /// into it, and it *answers* cache-missed slices, after mandatory
+    /// re-verification by concrete evaluation, so a stale or corrupt entry
+    /// can never produce a wrong model. Only long-lived incremental solvers
+    /// attach: a stateless paper-tool profile's per-query cost model must
+    /// not depend on what its siblings solved.
+    pub fn with_shared_cache(mut self, cache: Arc<ShardCache>) -> Solver {
         self.shared = Some(cache);
-        self.shared_read = read_through;
         self
     }
 
@@ -660,7 +631,9 @@ impl Solver {
         let mut merged = Model::default();
         let mut every_slice_hit = true;
         let mut first_unknown: Option<UnknownReason> = None;
-        let mut missed: Vec<&Vec<Term>> = Vec::new();
+        // Cache-missed slices, each beside its shared-store key (rendered
+        // once, and only with a store attached).
+        let mut missed: Vec<(&Vec<Term>, Option<u64>)> = Vec::new();
         for slice_terms in &slices {
             stats.cache_hit = false;
             let out = if self.no_query_cache {
@@ -688,14 +661,17 @@ impl Solver {
                     }
                 }
                 None => {
-                    if let Some(m) = self
-                        .shared_lookup(slice_terms, &mut stats)
-                        .or_else(|| self.disk_lookup(slice_terms))
+                    let shared_key = self
+                        .shared
+                        .is_some()
+                        .then(|| shardcache::slice_key(slice_terms));
+                    if let Some(m) =
+                        shared_key.and_then(|key| self.shared_lookup(key, slice_terms, &mut stats))
                     {
-                        // Warm start: answered from the shared in-process
-                        // store or the persistent store (verified inside
-                        // the lookup). Feed the in-memory layers so later
-                        // rounds hit without touching either again.
+                        // Warm start: answered from the shared store
+                        // (verified inside the lookup). Feed the per-solver
+                        // layers so later rounds hit without touching it
+                        // again.
                         if !self.no_query_cache {
                             let mut st = self.state.borrow_mut();
                             st.pinned.extend(slice_terms.iter().cloned());
@@ -710,7 +686,7 @@ impl Solver {
                         }
                     } else {
                         self.bump_cache(|cs| cs.misses += 1);
-                        missed.push(slice_terms);
+                        missed.push((slice_terms, shared_key));
                     }
                 }
             }
@@ -721,7 +697,7 @@ impl Solver {
             // an empty meet short-circuits the whole query to unsat.
             let t3 = std::time::Instant::now();
             let mut still_missed = Vec::with_capacity(missed.len());
-            for slice_terms in missed {
+            for (slice_terms, shared_key) in missed {
                 match interval_witness(slice_terms) {
                     WitnessVerdict::Sat(m) => {
                         stats.witness_hits += 1;
@@ -736,8 +712,7 @@ impl Solver {
                                 &SolveOutcome::Sat(m.clone()),
                             );
                         }
-                        self.disk_record(slice_terms, &m);
-                        self.shared_record(slice_terms, &m, &mut stats);
+                        self.shared_record(shared_key, &m, &mut stats);
                         for (name, value) in m.iter() {
                             merged.values.insert(name.clone(), *value);
                         }
@@ -758,7 +733,7 @@ impl Solver {
                         self.stats.set(stats);
                         return Ok(SolveOutcome::Unsat);
                     }
-                    WitnessVerdict::Miss => still_missed.push(slice_terms),
+                    WitnessVerdict::Miss => still_missed.push((slice_terms, shared_key)),
                 }
             }
             stats.interval_ns += t3.elapsed().as_nanos() as u64;
@@ -771,7 +746,7 @@ impl Solver {
             // Slicing exists for cache-key granularity, not extra CDCL runs —
             // batching keeps the solve count (and the conflict budget's
             // meaning) identical to the unsliced pipeline.
-            let union: Vec<Term> = missed.iter().flat_map(|s| s.iter().cloned()).collect();
+            let union: Vec<Term> = missed.iter().flat_map(|(s, _)| s.iter().cloned()).collect();
             match self.solve_slice(&union, &mut stats)? {
                 SolveOutcome::Unsat => {
                     if !self.no_query_cache {
@@ -797,7 +772,7 @@ impl Solver {
                         // prefix still hit slice-by-slice. The session
                         // retains the blasted roots, so key ids stay pinned.
                         let mut st = self.state.borrow_mut();
-                        for slice_terms in &missed {
+                        for &(slice_terms, shared_key) in &missed {
                             let mut vars = Vec::new();
                             for c in slice_terms.iter() {
                                 c.collect_vars(&mut vars);
@@ -810,8 +785,7 @@ impl Solver {
                                     sub.values.insert(var.name.clone(), *v);
                                 }
                             }
-                            self.disk_record(slice_terms, &sub);
-                            self.shared_record(slice_terms, &sub, &mut stats);
+                            self.shared_record(shared_key, &sub, &mut stats);
                             let key = query_key(slice_terms);
                             Self::cache_store(&mut st, key, &SolveOutcome::Sat(sub));
                         }
@@ -906,61 +880,20 @@ impl Solver {
         })
     }
 
-    /// Read-through lookup of one slice in the persistent store. Returns a
-    /// model only after concrete evaluation confirms it satisfies every
-    /// slice constraint — the disk is untrusted input, so verification is
-    /// the soundness authority, exactly as for the interval witnesses.
-    fn disk_lookup(&self, slice_terms: &[Term]) -> Option<Model> {
-        if !self.disk_read {
-            return None;
-        }
-        let handle = self.disk.as_ref()?;
-        let stored = handle.borrow().lookup(diskcache::disk_key(slice_terms))?;
-        let mut vars = Vec::new();
-        for c in slice_terms {
-            c.collect_vars(&mut vars);
-        }
-        vars.sort();
-        vars.dedup();
-        let mut model = Model::default();
-        for var in &vars {
-            model.insert(var.name.clone(), stored.get(&var.name).unwrap_or(0));
-        }
-        let env = model.as_env();
-        if slice_terms
-            .iter()
-            .all(|c| eval(c, &env).is_ok_and(|v| v.truth()))
-        {
-            handle.borrow_mut().note_hit();
-            Some(model)
-        } else {
-            None
-        }
-    }
-
-    /// Records a satisfying slice model into the persistent store (no-op
-    /// without an attached store).
-    fn disk_record(&self, slice_terms: &[Term], model: &Model) {
-        if let Some(handle) = &self.disk {
-            handle
-                .borrow_mut()
-                .record(diskcache::disk_key(slice_terms), model);
-        }
-    }
-
-    /// Read-through lookup of one slice in the shared in-process store,
-    /// under the same verification discipline as [`disk_lookup`]: the
-    /// store is untrusted input, so a model answers the slice only after
-    /// concrete evaluation confirms it satisfies every constraint.
-    /// Rejected models are counted and treated as misses.
-    ///
-    /// [`disk_lookup`]: Solver::disk_lookup
-    fn shared_lookup(&self, slice_terms: &[Term], stats: &mut SolveStats) -> Option<Model> {
-        if !self.shared_read {
-            return None;
-        }
+    /// Read-through lookup of one slice in the shared store under its
+    /// `key`. The store is untrusted input, so a model answers the slice
+    /// only after concrete evaluation confirms it satisfies every
+    /// constraint — verification is the soundness authority, exactly as
+    /// for the interval witnesses. Rejected models are counted and treated
+    /// as misses.
+    fn shared_lookup(
+        &self,
+        key: u64,
+        slice_terms: &[Term],
+        stats: &mut SolveStats,
+    ) -> Option<Model> {
         let cache = self.shared.as_ref()?;
-        let stored = cache.lookup(diskcache::disk_key(slice_terms))?;
+        let stored = cache.lookup(key)?;
         let mut vars = Vec::new();
         for c in slice_terms {
             c.collect_vars(&mut vars);
@@ -990,12 +923,12 @@ impl Solver {
         }
     }
 
-    /// Records a satisfying slice model into the shared in-process store
-    /// (no-op without one attached). First writer wins across threads;
-    /// only a genuine insert counts as a store.
-    fn shared_record(&self, slice_terms: &[Term], model: &Model, stats: &mut SolveStats) {
-        if let Some(cache) = &self.shared {
-            if cache.record(diskcache::disk_key(slice_terms), model) {
+    /// Records a satisfying slice model into the shared store under its
+    /// `key` (`None` when no store is attached). First writer wins across
+    /// threads; only a genuine insert counts as a store.
+    fn shared_record(&self, key: Option<u64>, model: &Model, stats: &mut SolveStats) {
+        if let (Some(cache), Some(key)) = (&self.shared, key) {
+            if cache.record(key, model) {
                 stats.shared_cache_stores += 1;
             }
         }
@@ -1507,70 +1440,6 @@ mod tests {
     }
 
     #[test]
-    fn persistent_cache_warms_across_solver_instances() {
-        let dir = std::env::temp_dir().join(format!("bomblab-solver-warm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let x = Term::var("x", 8);
-        let c = Term::cmp(
-            CmpOp::Eq,
-            &Term::bin(BvOp::Xor, &x, &Term::bv(0x5A, 8)),
-            &Term::bv(0x6F, 8),
-        );
-        let disk = Rc::new(RefCell::new(DiskCache::open(&dir).expect("open")));
-        let s1 = Solver::new().with_disk_cache(disk.clone(), false);
-        let SolveOutcome::Sat(m1) = s1.check(std::slice::from_ref(&c)) else {
-            panic!("expected sat");
-        };
-        disk.borrow_mut().flush().expect("flush");
-        assert_eq!(disk.borrow().hits(), 0, "write-only mode never reads");
-        assert!(disk.borrow().stores() > 0, "write-only mode records models");
-
-        let disk2 = Rc::new(RefCell::new(DiskCache::open(&dir).expect("reopen")));
-        let s2 = Solver::new().with_disk_cache(disk2.clone(), true);
-        let SolveOutcome::Sat(m2) = s2.check(&[c]) else {
-            panic!("expected sat");
-        };
-        assert_eq!(m1.get("x"), m2.get("x"));
-        assert_eq!(disk2.borrow().hits(), 1, "answered from the warm store");
-        assert_eq!(s2.stats().sat_vars, 0, "no bit-blasting on the warm path");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn poisoned_disk_models_are_rejected_by_verification() {
-        let dir =
-            std::env::temp_dir().join(format!("bomblab-solver-poison-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let x = Term::var("x", 8);
-        let c = Term::cmp(
-            CmpOp::Eq,
-            &Term::bin(BvOp::Xor, &x, &Term::bv(0x5A, 8)),
-            &Term::bv(0x6F, 8),
-        );
-        let disk = Rc::new(RefCell::new(DiskCache::open(&dir).expect("open")));
-        let mut wrong = Model::default();
-        wrong.insert("x", 0u64);
-        disk.borrow_mut()
-            .record(diskcache::disk_key(std::slice::from_ref(&c)), &wrong);
-        // Simplify and slicing off so the queried slice is the original
-        // term and the poisoned key is the one the solver looks up.
-        let s = Solver::new()
-            .with_simplify(false)
-            .with_slicing(false)
-            .with_disk_cache(disk.clone(), true);
-        let SolveOutcome::Sat(m) = s.check(&[c]) else {
-            panic!("expected sat");
-        };
-        assert_eq!(m.get("x"), Some(0x35), "solved correctly despite poison");
-        assert_eq!(
-            disk.borrow().hits(),
-            0,
-            "unverified model never counts as a hit"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn models_cover_all_variables_in_formula() {
         let x = Term::var("x", 8);
         let y = Term::var("y", 8);
@@ -1594,8 +1463,7 @@ mod tests {
     }
 
     /// Optimizer off so the queried slice is the original term and the
-    /// witness stage cannot pre-empt the CDCL run (same shape as the
-    /// disk-cache poison test).
+    /// witness stage cannot pre-empt the CDCL run.
     fn bare_solver() -> Solver {
         Solver::new().with_simplify(false).with_slicing(false)
     }
@@ -1605,66 +1473,43 @@ mod tests {
         let shared = Arc::new(ShardCache::default());
         let c = xor_crackme();
 
-        // Warm: a write-only solver (the stateless-profile shape) solves
-        // the query with CDCL and records the slice model.
-        let warm = bare_solver().with_shared_cache(Arc::clone(&shared), false);
+        // Warm: the first solver finds the store empty, solves the query
+        // with CDCL and records the slice model.
+        let warm = bare_solver().with_shared_cache(Arc::clone(&shared));
         assert!(matches!(
             warm.check(std::slice::from_ref(&c)),
             SolveOutcome::Sat(_)
         ));
         assert!(warm.stats().sat_vars > 0, "cold query must blast");
         assert_eq!(warm.stats().shared_cache_stores, 1);
-        assert_eq!(
-            warm.stats().shared_cache_hits,
-            0,
-            "write-only attach never reads"
-        );
+        assert_eq!(warm.stats().shared_cache_hits, 0, "nothing to read yet");
 
-        // A fresh read-through solver answers the same slice from the
-        // shared store — verified, and without allocating a SAT variable.
-        let cold = bare_solver().with_shared_cache(Arc::clone(&shared), true);
+        // A fresh solver answers the same slice from the shared store —
+        // verified, and without allocating a SAT variable.
+        let cold = bare_solver().with_shared_cache(Arc::clone(&shared));
         let SolveOutcome::Sat(m) = cold.check(&[c]) else {
             panic!("expected sat");
         };
         assert_eq!(m.get("x"), Some(0x35));
         assert_eq!(cold.stats().shared_cache_hits, 1);
+        assert_eq!(cold.stats().shared_cache_stores, 0, "hit is not re-stored");
         assert_eq!(cold.stats().sat_vars, 0, "answered without blasting");
         assert_eq!(shared.hits(), 1);
         assert_eq!(shared.stores(), 1);
     }
 
     #[test]
-    fn write_only_solver_never_reads_the_shared_cache() {
-        let shared = Arc::new(ShardCache::default());
-        let c = xor_crackme();
-        let warm = bare_solver().with_shared_cache(Arc::clone(&shared), false);
-        assert!(matches!(
-            warm.check(std::slice::from_ref(&c)),
-            SolveOutcome::Sat(_)
-        ));
-
-        let stateless = bare_solver().with_shared_cache(Arc::clone(&shared), false);
-        assert!(matches!(stateless.check(&[c]), SolveOutcome::Sat(_)));
-        assert_eq!(stateless.stats().shared_cache_hits, 0);
-        assert!(
-            stateless.stats().sat_vars > 0,
-            "write-only solver must solve for itself"
-        );
-        assert_eq!(shared.hits(), 0);
-    }
-
-    #[test]
     fn poisoned_shared_models_are_rejected_by_verification() {
         let shared = Arc::new(ShardCache::poisoned());
         let c = xor_crackme();
-        let warm = bare_solver().with_shared_cache(Arc::clone(&shared), false);
+        let warm = bare_solver().with_shared_cache(Arc::clone(&shared));
         assert!(matches!(
             warm.check(std::slice::from_ref(&c)),
             SolveOutcome::Sat(_)
         ));
         assert_eq!(shared.stores(), 1, "poisoned entry was stored");
 
-        let cold = bare_solver().with_shared_cache(Arc::clone(&shared), true);
+        let cold = bare_solver().with_shared_cache(Arc::clone(&shared));
         let SolveOutcome::Sat(m) = cold.check(&[c]) else {
             panic!("expected sat");
         };

@@ -1,38 +1,38 @@
 //! Sharded in-memory global solver cache: cross-cell model reuse.
 //!
-//! The study runner solves 22 bombs × 4 profiles, and the bombs are not
-//! strangers to each other — argv-digit guards, length checks, and table
-//! bounds recur across the dataset, so the cone-of-influence slices the
-//! optimizer carves out (`slice::partition`) repeat *across cells*, not
-//! just across rounds. The per-attempt query cache cannot see that, and
-//! the [`DiskCache`](crate::diskcache::DiskCache) only helps across
-//! *processes*. This cache sits between them: one `Arc<ShardCache>` per
-//! study, shared by every worker thread, keyed by the same process-stable
-//! slice hashes as the disk store ([`crate::diskcache::disk_key`] — FNV-1a
-//! over the SMT-LIB rendering, so keys agree across threads even though
-//! hash-consed term ids do not).
+//! The study runner solves every bomb under each profile, and the bombs
+//! are not strangers to each other — argv-digit guards, length checks,
+//! and table bounds recur across the dataset, so the cone-of-influence
+//! slices the optimizer carves out (`slice::partition`) repeat *across
+//! cells*, not just across rounds. The per-solver query cache cannot see
+//! that. This store can: one `Arc<ShardCache>` per study, shared by every
+//! worker thread, keyed by [`slice_key`] — FNV-1a over the slice's SMT-LIB
+//! rendering, so keys agree across threads even though hash-consed term
+//! ids do not. The solver renders that key once per cache-missed slice.
 //!
 //! Concurrency: N-way sharding with one `RwLock` per shard. Lookups take
 //! a read lock on a single shard; stores take a write lock on a single
 //! shard; no global lock exists, so worker threads contend only on true
 //! key-space collisions.
 //!
-//! Soundness discipline (identical to the disk cache):
+//! Soundness discipline:
 //!
-//! * **Read-through hits are re-verified.** A stored model is untrusted
-//!   input; it answers a slice only after concrete evaluation confirms it
-//!   satisfies every slice constraint. A failed verification counts as a
-//!   rejection and the pipeline proceeds as a miss — a poisoned entry can
-//!   cost time, never correctness.
-//! * **Stateless profiles attach write-only.** Paper-tool profiles
-//!   (`incremental_solver: false`) warm the cache but never read it, so
-//!   their per-query cost model — and with it Table II — is byte-identical
-//!   with the cache armed or not.
+//! * **Hits are re-verified.** A stored model is untrusted input; it
+//!   answers a slice only after concrete evaluation confirms it satisfies
+//!   every slice constraint. A failed verification counts as a rejection
+//!   and the pipeline proceeds as a miss — a poisoned entry can cost
+//!   time, never correctness.
+//! * **Only incremental solvers attach.** Paper-tool profiles
+//!   (`incremental_solver: false`) run a fresh solver per query, as the
+//!   paper measures each tool, so they neither read nor write the store
+//!   and Table II is byte-identical with it armed or not.
 //!
 //! The `BOMBLAB_SHARDCACHE_POISON` environment variable corrupts every
-//! stored binding (CI's poisoning smoke): with it set, every read-through
-//! lookup must be rejected by verification and the report must not move.
+//! stored binding (CI's poisoning smoke): with it set, every lookup must
+//! be rejected by verification and the report must not move.
 
+use crate::expr::Term;
+use crate::smtlib;
 use crate::Model;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +42,19 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// realistic `--jobs` on the study's dataset sizes while keeping the
 /// idle-memory cost of the empty cache trivial.
 pub const NUM_SHARDS: usize = 8;
+
+/// Process-stable store key: FNV-1a over the SMT-LIB rendering of the
+/// slice. Unlike [`Term::id`] (an interner address, unique only within one
+/// thread of one process), the rendering agrees across threads.
+pub fn slice_key(terms: &[Term]) -> u64 {
+    let text = smtlib::to_smtlib(terms);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in text.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
 
 /// One stored model: the slice's variable bindings in sorted order.
 type Bindings = Vec<(Arc<str>, u64)>;
@@ -86,9 +99,8 @@ impl ShardCache {
     }
 
     fn shard(&self, key: u64) -> &RwLock<HashMap<u64, Bindings>> {
-        // Spread FNV keys across shards by their high bits (the low bits
-        // already picked the disk segment, keeping the two stripings
-        // independent).
+        // Spread FNV keys across shards by their multiplicatively mixed
+        // high bits.
         &self.shards[(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as usize % NUM_SHARDS]
     }
 
@@ -168,6 +180,7 @@ impl ShardCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{BvOp, CmpOp};
 
     fn model(pairs: &[(&str, u64)]) -> Model {
         let mut m = Model::default();
@@ -191,6 +204,26 @@ mod tests {
         );
         assert_eq!(cache.stores(), 1);
         assert_eq!(cache.entries(), 1);
+    }
+
+    #[test]
+    fn slice_keys_are_stable_and_content_based() {
+        let x = Term::var("x", 32);
+        let c1 = Term::cmp(
+            CmpOp::Eq,
+            &Term::bin(BvOp::Add, &x, &Term::bv(1, 32)),
+            &Term::bv(5, 32),
+        );
+        let c2 = Term::cmp(
+            CmpOp::Eq,
+            &Term::bin(BvOp::Add, &x, &Term::bv(2, 32)),
+            &Term::bv(5, 32),
+        );
+        assert_eq!(
+            slice_key(std::slice::from_ref(&c1)),
+            slice_key(std::slice::from_ref(&c1))
+        );
+        assert_ne!(slice_key(&[c1]), slice_key(&[c2]));
     }
 
     #[test]

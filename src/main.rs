@@ -12,11 +12,11 @@
 //! bomblab analyze --bombs [prefix]      analyze the dataset, print summaries
 //! bomblab bombs                         list the dataset
 //! bomblab study [prefix] [--jobs N|auto] [--trace out.jsonl]
-//!               [--checkpoint dir] [--resume] [--retries N] [--cache-dir dir]
+//!               [--checkpoint dir] [--resume] [--retries N]
 //!               [--tools paper|omniscient] [--no-shared-cache]
 //!                                       run the Table-II study (durably)
 //! bomblab chaos [prefix] [--seed N] [--faults K] [--io-faults K] [--sweeps M]
-//!               [--jobs N|auto] [--retries N] [--checkpoint dir] [--cache-dir dir]
+//!               [--jobs N|auto] [--retries N] [--checkpoint dir]
 //!               [--trace out.jsonl]     fault-injection sweeps + containment check
 //! bomblab tracecheck <file.jsonl>       validate a trace against the schema
 //! ```
@@ -673,11 +673,6 @@ const RETRIES: FlagSpec = FlagSpec {
     alias: None,
     takes_value: true,
 };
-const CACHE_DIR: FlagSpec = FlagSpec {
-    name: "--cache-dir",
-    alias: None,
-    takes_value: true,
-};
 
 fn cmd_study(args: &[String]) -> CmdResult {
     const RESUME: FlagSpec = FlagSpec {
@@ -704,7 +699,6 @@ fn cmd_study(args: &[String]) -> CmdResult {
             CHECKPOINT,
             RESUME,
             RETRIES,
-            CACHE_DIR,
             NO_SHARED_CACHE,
             TOOLS,
         ],
@@ -745,7 +739,6 @@ fn cmd_study(args: &[String]) -> CmdResult {
         retries,
         checkpoint: flags.get("--checkpoint").map(std::path::PathBuf::from),
         resume: flags.contains_key("--resume"),
-        solver_cache_dir: flags.get("--cache-dir").map(std::path::PathBuf::from),
         shared_cache: !flags.contains_key("--no-shared-cache"),
         ..StudyOptions::default()
     };
@@ -782,7 +775,7 @@ fn cmd_chaos(args: &[String]) -> CmdResult {
         "chaos",
         args,
         &[
-            SEED, FAULTS, IO_FAULTS, SWEEPS, JOBS, TRACE, RETRIES, CHECKPOINT, CACHE_DIR,
+            SEED, FAULTS, IO_FAULTS, SWEEPS, JOBS, TRACE, RETRIES, CHECKPOINT,
         ],
         1,
     )?;
@@ -810,7 +803,6 @@ fn cmd_chaos(args: &[String]) -> CmdResult {
         config.retries = parse_num("chaos", "--retries", v)?;
     }
     config.checkpoint = flags.get("--checkpoint").map(std::path::PathBuf::from);
-    config.solver_cache_dir = flags.get("--cache-dir").map(std::path::PathBuf::from);
     let trace_path = flags.get("--trace");
     config.observe = trace_path.is_some();
     if config.jobs == 0 {

@@ -8,7 +8,9 @@ use bomblab::bombs::dataset;
 use bomblab::concolic::checkpoint::{fingerprint, CellRecord, Journal};
 use bomblab::concolic::{ground_truth, run_study_with, StudyOptions};
 use bomblab::prelude::*;
+use bomblab::solver::ShardCache;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A representative slice: multi-round bombs (`parallel_thread`,
 /// `jump_direct`), single-round failures, and a solved case.
@@ -165,6 +167,10 @@ proptest! {
 
 #[test]
 fn paper_profiles_run_a_stateless_solver() {
+    let case = dataset::covert_syscall();
+    let ground = ground_truth(&case.subject, &case.trigger);
+    // One store handed to every paper profile: none of them may attach it.
+    let store = ShardCache::shared();
     for profile in ToolProfile::paper_lineup() {
         assert!(
             !profile.incremental_solver,
@@ -172,12 +178,27 @@ fn paper_profiles_run_a_stateless_solver() {
              queries — the Table-II budget is calibrated per fresh query",
             profile.name
         );
-        let case = dataset::covert_syscall();
-        let ground = ground_truth(&case.subject, &case.trigger);
-        let attempt = Engine::new(profile).explore(&case.subject, &ground);
+        let attempt = Engine::new(profile)
+            .with_shared_cache(Some(Arc::clone(&store)))
+            .explore(&case.subject, &ground);
         let ev = &attempt.evidence;
         assert_eq!(ev.cache_hits, 0, "stateless profile hit a cache: {ev:#?}");
         assert_eq!(ev.roots_reused, 0, "stateless profile reused CNF: {ev:#?}");
+        assert_eq!(ev.shared_cache_hits, 0, "stateless profile read the store");
+        assert_eq!(
+            ev.shared_cache_stores, 0,
+            "stateless profile wrote the store"
+        );
+        assert_eq!(store.entries(), 0, "stateless profile filled the store");
     }
-    assert!(ToolProfile::omniscient().incremental_solver);
+    let omniscient = ToolProfile::omniscient();
+    assert!(omniscient.incremental_solver);
+    let attempt = Engine::new(omniscient)
+        .with_shared_cache(Some(Arc::clone(&store)))
+        .explore(&case.subject, &ground);
+    assert!(attempt.evidence.shared_cache_stores > 0);
+    assert!(
+        store.entries() > 0,
+        "the incremental profile must fill the store"
+    );
 }
