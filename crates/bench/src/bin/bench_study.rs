@@ -2,7 +2,8 @@
 //! worker pool (sequential always included), plus an incremental-profile
 //! leg that exercises the solver's query cache and the shared cross-cell
 //! cache. Emits `BENCH_study.json` (hand-rolled JSON, no serde
-//! dependency).
+//! dependency): per-cell wall time and nonzero `Evidence::counters`, and
+//! the summed counters of each lineup.
 //!
 //! ```text
 //! bench_study [--jobs N|auto] [--out PATH]
@@ -18,7 +19,7 @@
 
 use bomblab_bombs::all_cases;
 use bomblab_concolic::{run_study_with, StudyOptions, StudyReport, ToolProfile};
-use std::fmt::Write as _;
+use bomblab_obs::json::u64_object;
 use std::time::Instant;
 
 fn main() {
@@ -152,40 +153,6 @@ fn parse_jobs(value: &str, cores: usize) -> usize {
     n
 }
 
-/// Sums every cell's evidence counters across a report.
-#[derive(Default)]
-struct Totals {
-    hits: u64,
-    misses: u64,
-    blasted: u64,
-    reused: u64,
-    shared_hits: u64,
-    shared_stores: u64,
-    shared_rejected: u64,
-    trace_full: u64,
-    trace_elided: u64,
-    trace_bytes: u64,
-}
-
-fn cache_totals(report: &StudyReport) -> Totals {
-    let mut t = Totals::default();
-    for cell in report.rows.iter().flat_map(|row| &row.cells) {
-        let ev = &cell.attempt.evidence;
-        t.hits += ev.cache_hits;
-        t.misses += ev.cache_misses;
-        t.blasted += ev.roots_blasted;
-        t.reused += ev.roots_reused;
-        t.shared_hits += ev.shared_cache_hits;
-        t.shared_stores += ev.shared_cache_stores;
-        t.shared_rejected += ev.shared_cache_rejected;
-        t.trace_full += ev.trace_steps_full;
-        t.trace_elided += ev.trace_steps_elided;
-        t.trace_bytes += ev.trace_arena_bytes;
-    }
-    t
-}
-
-#[allow(clippy::too_many_arguments)]
 fn render(
     report: &StudyReport,
     curve: &[(usize, f64)],
@@ -195,84 +162,23 @@ fn render(
     identical: bool,
     sched: (u64, u64),
 ) -> String {
-    let mut cells = String::new();
-    let (mut simp_hits, mut pruned, mut slices, mut witnessed) = (0u64, 0u64, 0u64, 0u64);
-    let (mut simp_ns, mut intv_ns, mut slice_ns) = (0u64, 0u64, 0u64);
-    let (mut vm_steps, mut bb_hits, mut bb_misses, mut decoded) = (0u64, 0u64, 0u64, 0u64);
-    let mut bb_invalidations = 0u64;
-    let (mut blockers, mut propagations, mut evictions) = (0u64, 0u64, 0u64);
+    let mut cells = Vec::new();
     let (mut retries, mut quarantined, mut backoff_ns) = (0u64, 0u64, 0u64);
     for row in &report.rows {
         for cell in &row.cells {
             let ev = &cell.attempt.evidence;
-            simp_hits += ev.simplify_hits;
-            pruned += ev.terms_pruned;
-            slices += ev.slices;
-            witnessed += ev.witness_hits;
-            simp_ns += ev.simplify_ns;
-            intv_ns += ev.interval_ns;
-            slice_ns += ev.slice_ns;
-            vm_steps += ev.vm_steps;
-            bb_hits += ev.bb_hits;
-            bb_misses += ev.bb_misses;
-            bb_invalidations += ev.bb_invalidations;
-            decoded += ev.steps_decoded;
-            blockers += ev.blocker_skips;
-            propagations += ev.propagations;
-            evictions += ev.lbd_evictions;
             retries += u64::from(ev.retries);
             quarantined += u64::from(ev.quarantined);
             backoff_ns += ev.retry_backoff_ns;
-            if !cells.is_empty() {
-                cells.push_str(",\n");
-            }
-            // Derived steps/second from the cell's own VM wall clock;
-            // null when the VM never ran (no rate to report).
-            let steps_per_sec = if ev.vm_ns > 0 {
-                format!("{:.0}", ev.vm_steps as f64 / (ev.vm_ns as f64 / 1e9))
-            } else {
-                "null".to_string()
-            };
-            let _ = write!(
-                cells,
+            cells.push(format!(
                 "    {{\"case\": \"{}\", \"profile\": \"{}\", \"outcome\": \"{}\", \
-                 \"wall_ms\": {:.3}, \"rounds\": {}, \"queries\": {}, \
-                 \"vm_ms\": {:.3}, \"taint_ms\": {:.3}, \"symex_ms\": {:.3}, \"solver_ms\": {:.3}, \
-                 \"vm_steps\": {}, \"steps_per_sec\": {steps_per_sec}, \
-                 \"simplify_hits\": {}, \"terms_pruned\": {}, \"slices\": {}, \
-                 \"witness_hits\": {}, \
-                 \"simplify_ms\": {:.3}, \"interval_ms\": {:.3}, \"slice_ms\": {:.3}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \
-                 \"roots_blasted\": {}, \"roots_reused\": {}, \
-                 \"propagations\": {}, \"blocker_skips\": {}, \
-                 \"retries\": {}, \"quarantined\": {}}}",
+                 \"wall_ms\": {:.3}, \"counters\": {}}}",
                 row.name,
                 cell.profile,
                 cell.outcome,
                 cell.wall_ns as f64 / 1e6,
-                ev.rounds,
-                ev.queries,
-                ev.vm_ns as f64 / 1e6,
-                ev.taint_ns as f64 / 1e6,
-                ev.symex_ns as f64 / 1e6,
-                ev.solver_ns as f64 / 1e6,
-                ev.vm_steps,
-                ev.simplify_hits,
-                ev.terms_pruned,
-                ev.slices,
-                ev.witness_hits,
-                ev.simplify_ns as f64 / 1e6,
-                ev.interval_ns as f64 / 1e6,
-                ev.slice_ns as f64 / 1e6,
-                ev.cache_hits,
-                ev.cache_misses,
-                ev.roots_blasted,
-                ev.roots_reused,
-                ev.propagations,
-                ev.blocker_skips,
-                ev.retries,
-                ev.quarantined,
-            );
+                ev.counters_json(),
+            ));
         }
     }
     let seq_s = curve[0].1;
@@ -297,14 +203,10 @@ fn render(
     } else {
         "null".to_string()
     };
-    // The stateless paper lineup never reads a cache; the incremental
-    // Omniscient leg is where the query-cache and shared-cache counters
-    // carry signal. Same split for the trace path: the paper lineup
-    // records full arena capture (Table II must not depend on elision),
-    // while Omniscient arms the taint gate and records sparse — its
-    // `trace_steps_elided` total is the elision counter.
-    let paper = cache_totals(report);
-    let inc = cache_totals(incremental);
+    // The stateless paper lineup never reads a cache and records full
+    // trace capture (Table II must not depend on elision); the
+    // incremental Omniscient leg is where the query-cache, shared-cache
+    // and trace-elision counters carry signal.
     format!(
         "{{\n  \"bench\": \"study\",\n  \"cores\": {cores},\n  \"bombs\": {},\n  \
          \"profiles\": {},\n  \"sequential_s\": {seq_s:.3},\n  \"parallel_jobs\": {par_jobs},\n  \
@@ -312,64 +214,23 @@ fn render(
          \"jobs_curve\": [{jobs_curve}],\n  \
          \"reports_identical\": {identical},\n  \
          \"scheduler\": {{\"sched_costed\": {}, \"sched_estimated\": {}}},\n  \
-         \"solver_cache\": {{\"hits\": {}, \
-         \"misses\": {}, \"roots_blasted\": {}, \"roots_reused\": {}, \
-         \"shared_cache_hits\": {}, \"shared_cache_stores\": {}, \
-         \"shared_cache_rejected\": {}}},\n  \
+         \"paper\": {{\"counters\": {}}},\n  \
          \"incremental\": {{\"profile\": \"Omniscient\", \"bombs\": {}, \
-         \"wall_s\": {inc_s:.3}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \
-         \"roots_blasted\": {}, \"roots_reused\": {}, \
-         \"shared_cache_hits\": {}, \"shared_cache_stores\": {}, \
-         \"shared_cache_rejected\": {}, \
-         \"trace_steps_full\": {}, \"trace_steps_elided\": {}, \
-         \"trace_arena_bytes\": {}}},\n  \
-         \"optimizer\": {{\"simplify_hits\": {simp_hits}, \"terms_pruned\": {pruned}, \
-         \"slices\": {slices}, \"witness_hits\": {witnessed}, \
-         \"simplify_ms\": {:.3}, \"interval_ms\": {:.3}, \
-         \"slice_ms\": {:.3}}},\n  \
-         \"vm\": {{\"vm_steps\": {vm_steps}, \"bb_hits\": {bb_hits}, \
-         \"bb_misses\": {bb_misses}, \"bb_invalidations\": {bb_invalidations}, \
-         \"steps_decoded\": {decoded}}},\n  \
-         \"trace\": {{\"path\": \"arena\", \"paper_capture\": \"full\", \
-         \"incremental_capture\": \"sparse\", \"steps_full\": {}, \
-         \"steps_elided\": {}, \"arena_bytes\": {}}},\n  \
-         \"sat\": {{\"propagations\": {propagations}, \"blocker_skips\": {blockers}, \
-         \"lbd_evictions\": {evictions}}},\n  \
+         \"wall_s\": {inc_s:.3}, \"counters\": {}}},\n  \
          \"durability\": {{\"retries\": {retries}, \"quarantined\": {quarantined}, \
          \"retry_backoff_ms\": {:.3}, \"cells_replayed\": {}, \
          \"checkpoint_io_errors\": {}}},\n  \
-         \"cells\": [\n{cells}\n  ]\n}}\n",
+         \"cells\": [\n{}\n  ]\n}}\n",
         report.rows.len(),
         report.profiles.len(),
         sched.0,
         sched.1,
-        paper.hits,
-        paper.misses,
-        paper.blasted,
-        paper.reused,
-        paper.shared_hits,
-        paper.shared_stores,
-        paper.shared_rejected,
+        u64_object(report.counter_totals()),
         incremental.rows.len(),
-        inc.hits,
-        inc.misses,
-        inc.blasted,
-        inc.reused,
-        inc.shared_hits,
-        inc.shared_stores,
-        inc.shared_rejected,
-        inc.trace_full,
-        inc.trace_elided,
-        inc.trace_bytes,
-        simp_ns as f64 / 1e6,
-        intv_ns as f64 / 1e6,
-        slice_ns as f64 / 1e6,
-        paper.trace_full,
-        paper.trace_elided,
-        paper.trace_bytes,
+        u64_object(incremental.counter_totals()),
         backoff_ns as f64 / 1e6,
         report.stats.cells_replayed,
         report.stats.checkpoint_io_errors,
+        cells.join(",\n"),
     )
 }

@@ -290,6 +290,73 @@ pub struct Evidence {
     pub trace_arena_bytes: u64,
 }
 
+/// The numeric telemetry of one attempt as `(trace name, value)` pairs;
+/// see [`Evidence::counters`].
+pub type Counters = [(&'static str, u64); 42];
+
+impl Evidence {
+    /// Every numeric telemetry counter, once, under its trace name. Trace
+    /// `cell` lines, the profile sidecar and `bench_study` all render from
+    /// this list, so a new counter is its field, one row here, and the
+    /// `+=` where it is counted.
+    #[must_use]
+    pub fn counters(&self) -> Counters {
+        [
+            ("rounds", u64::from(self.rounds)),
+            ("queries", u64::from(self.queries)),
+            ("sat_queries", u64::from(self.sat_queries)),
+            ("pruned_flips", u64::from(self.pruned_flips)),
+            ("exact_pins", u64::from(self.exact_pins)),
+            ("injected_faults", u64::from(self.injected_faults)),
+            (
+                "branches_proven_independent",
+                self.branches_proven_independent,
+            ),
+            ("independent_skips", u64::from(self.independent_skips)),
+            ("static_slice_checked", self.static_slice_checked),
+            ("static_slice_agreement", self.static_slice_agreement),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("cache_exact_hits", self.cache_exact_hits),
+            ("cache_model_hits", self.cache_model_hits),
+            ("cache_unsat_hits", self.cache_unsat_hits),
+            ("roots_blasted", self.roots_blasted),
+            ("roots_reused", self.roots_reused),
+            ("shared_cache_hits", self.shared_cache_hits),
+            ("shared_cache_stores", self.shared_cache_stores),
+            ("shared_cache_rejected", self.shared_cache_rejected),
+            ("simplify_hits", self.simplify_hits),
+            ("terms_pruned", self.terms_pruned),
+            ("slices", self.slices),
+            ("witness_hits", self.witness_hits),
+            ("propagations", self.propagations),
+            ("blocker_skips", self.blocker_skips),
+            ("lbd_evictions", self.lbd_evictions),
+            ("vm_steps", self.vm_steps),
+            ("bb_hits", self.bb_hits),
+            ("bb_misses", self.bb_misses),
+            ("bb_invalidations", self.bb_invalidations),
+            ("steps_decoded", self.steps_decoded),
+            ("trace_steps_full", self.trace_steps_full),
+            ("trace_steps_elided", self.trace_steps_elided),
+            ("trace_arena_bytes", self.trace_arena_bytes),
+            ("vm_ns", self.vm_ns),
+            ("taint_ns", self.taint_ns),
+            ("symex_ns", self.symex_ns),
+            ("solver_ns", self.solver_ns),
+            ("simplify_ns", self.simplify_ns),
+            ("interval_ns", self.interval_ns),
+            ("slice_ns", self.slice_ns),
+        ]
+    }
+
+    /// The nonzero entries of [`Evidence::counters`] as a JSON object.
+    #[must_use]
+    pub fn counters_json(&self) -> String {
+        obs::json::u64_object(self.counters().into_iter().filter(|&(_, v)| v > 0))
+    }
+}
+
 /// Structured diagnostic for a contained per-cell failure: what the cell
 /// died of, where in the pipeline, and how long it had been running.
 ///
@@ -315,6 +382,48 @@ pub struct Attempt {
     pub solved_input: Option<WorldInput>,
     /// Collected evidence (for reports and tests).
     pub evidence: Evidence,
+}
+
+impl Attempt {
+    /// Renders the attempt as one `cell` trace line: the required fields,
+    /// the retry, expectation and crash fields, and a `counters` object
+    /// with the nonzero entries of [`Evidence::counters`].
+    #[must_use]
+    pub fn cell_line(
+        &self,
+        bomb: &str,
+        profile: &str,
+        wall_ns: u64,
+        expected: Option<Outcome>,
+    ) -> String {
+        let ev = &self.evidence;
+        let mut line = obs::json::Obj::new("cell")
+            .str("bomb", bomb)
+            .str("profile", profile)
+            .str("outcome", &self.outcome.to_string())
+            .u64("wall_ns", wall_ns)
+            .u64("rounds", u64::from(ev.rounds))
+            .u64("queries", u64::from(ev.queries))
+            .raw("counters", &ev.counters_json());
+        if ev.retries > 0 {
+            line = line.u64("retries", u64::from(ev.retries));
+        }
+        if ev.quarantined {
+            line = line.bool("quarantined", true);
+        }
+        if ev.retry_backoff_ns > 0 {
+            line = line.u64("retry_backoff_ns", ev.retry_backoff_ns);
+        }
+        if let Some(expected) = expected {
+            line = line.str("expected", &expected.to_string());
+        }
+        if let Some(crash) = &ev.crash {
+            line = line
+                .str("crash_stage", &crash.stage)
+                .str("crash_message", &crash.message);
+        }
+        line.finish()
+    }
 }
 
 /// Ground-truth facts about a bomb, derived from its known trigger input.
@@ -918,26 +1027,6 @@ impl Engine {
         evidence.cache_unsat_hits = cache.unsat_subset_hits;
         evidence.roots_blasted = cache.roots_blasted;
         evidence.roots_reused = cache.roots_reused;
-
-        // Mirror the attempt-level evidence into the trace sink. The split
-        // cache counters and root reuse live only on the shared solver, so
-        // the per-query instrumentation cannot see them.
-        if obs::armed() {
-            obs::counter("engine.rounds", u64::from(evidence.rounds));
-            obs::counter("engine.queries", u64::from(evidence.queries));
-            obs::counter("engine.sat_queries", u64::from(evidence.sat_queries));
-            obs::counter("engine.pruned_flips", u64::from(evidence.pruned_flips));
-            obs::counter("engine.exact_pins", u64::from(evidence.exact_pins));
-            obs::counter("solver.cache_exact_hits", evidence.cache_exact_hits);
-            obs::counter("solver.cache_model_hits", evidence.cache_model_hits);
-            obs::counter("solver.cache_unsat_hits", evidence.cache_unsat_hits);
-            obs::counter("solver.roots_blasted", evidence.roots_blasted);
-            obs::counter("solver.roots_reused", evidence.roots_reused);
-            obs::counter("engine.vm_steps", evidence.vm_steps);
-            obs::counter("vm.trace_steps_full", evidence.trace_steps_full);
-            obs::counter("vm.trace_steps_elided", evidence.trace_steps_elided);
-            obs::counter("vm.trace_arena_bytes", evidence.trace_arena_bytes);
-        }
 
         // Injected faults corrupt the attempt wholesale: even a run that
         // stumbled onto the trigger is not a trustworthy solve once the

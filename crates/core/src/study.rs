@@ -8,7 +8,9 @@
 
 use crate::checkpoint::{self, CellRecord, Journal};
 use crate::engine::GroundTruth;
-use crate::engine::{ground_truth, Attempt, CrashDiag, Engine, Evidence, StaticHints, Subject};
+use crate::engine::{
+    ground_truth, Attempt, Counters, CrashDiag, Engine, Evidence, StaticHints, Subject,
+};
 use crate::outcome::Outcome;
 use crate::profile::ToolProfile;
 use crate::world::WorldInput;
@@ -397,109 +399,12 @@ impl StudyReport {
                     render_cell(p, &mut out);
                 }
                 cell_count += 1;
-                let ev = &cell.attempt.evidence;
-                let mut line = Obj::new("cell")
-                    .str("bomb", &row.name)
-                    .str("profile", &cell.profile)
-                    .str("outcome", &cell.outcome.to_string())
-                    .u64("wall_ns", cell.wall_ns)
-                    .u64("rounds", u64::from(ev.rounds))
-                    .u64("queries", u64::from(ev.queries));
-                if ev.simplify_hits > 0 {
-                    line = line.u64("simplify_hits", ev.simplify_hits);
-                }
-                if ev.terms_pruned > 0 {
-                    line = line.u64("terms_pruned", ev.terms_pruned);
-                }
-                if ev.slices > 0 {
-                    line = line.u64("slices", ev.slices);
-                }
-                if ev.witness_hits > 0 {
-                    line = line.u64("witness_hits", ev.witness_hits);
-                }
-                if ev.simplify_ns > 0 {
-                    line = line.u64("simplify_ns", ev.simplify_ns);
-                }
-                if ev.interval_ns > 0 {
-                    line = line.u64("interval_ns", ev.interval_ns);
-                }
-                if ev.slice_ns > 0 {
-                    line = line.u64("slice_ns", ev.slice_ns);
-                }
-                if ev.vm_steps > 0 {
-                    line = line.u64("vm_steps", ev.vm_steps);
-                }
-                if ev.bb_hits > 0 {
-                    line = line.u64("bb_hits", ev.bb_hits);
-                }
-                if ev.bb_misses > 0 {
-                    line = line.u64("bb_misses", ev.bb_misses);
-                }
-                if ev.bb_invalidations > 0 {
-                    line = line.u64("bb_invalidations", ev.bb_invalidations);
-                }
-                if ev.steps_decoded > 0 {
-                    line = line.u64("steps_decoded", ev.steps_decoded);
-                }
-                if ev.blocker_skips > 0 {
-                    line = line.u64("blocker_skips", ev.blocker_skips);
-                }
-                if ev.propagations > 0 {
-                    line = line.u64("propagations", ev.propagations);
-                }
-                if ev.lbd_evictions > 0 {
-                    line = line.u64("lbd_evictions", ev.lbd_evictions);
-                }
-                if ev.branches_proven_independent > 0 {
-                    line = line.u64(
-                        "branches_proven_independent",
-                        ev.branches_proven_independent,
-                    );
-                }
-                if ev.independent_skips > 0 {
-                    line = line.u64("independent_skips", u64::from(ev.independent_skips));
-                }
-                if ev.static_slice_checked > 0 {
-                    line = line
-                        .u64("static_slice_checked", ev.static_slice_checked)
-                        .u64("static_slice_agreement", ev.static_slice_agreement);
-                }
-                if ev.retries > 0 {
-                    line = line.u64("retries", u64::from(ev.retries));
-                }
-                if ev.quarantined {
-                    line = line.bool("quarantined", true);
-                }
-                if ev.retry_backoff_ns > 0 {
-                    line = line.u64("retry_backoff_ns", ev.retry_backoff_ns);
-                }
-                if ev.shared_cache_hits > 0 {
-                    line = line.u64("shared_cache_hits", ev.shared_cache_hits);
-                }
-                if ev.shared_cache_stores > 0 {
-                    line = line.u64("shared_cache_stores", ev.shared_cache_stores);
-                }
-                if ev.shared_cache_rejected > 0 {
-                    line = line.u64("shared_cache_rejected", ev.shared_cache_rejected);
-                }
-                if ev.trace_steps_full > 0 {
-                    line = line.u64("trace_steps_full", ev.trace_steps_full);
-                }
-                if ev.trace_steps_elided > 0 {
-                    line = line.u64("trace_steps_elided", ev.trace_steps_elided);
-                }
-                if ev.trace_arena_bytes > 0 {
-                    line = line.u64("trace_arena_bytes", ev.trace_arena_bytes);
-                }
-                if let Some(expected) = cell.expected {
-                    line = line.str("expected", &expected.to_string());
-                }
-                if let Some(crash) = &ev.crash {
-                    line = line
-                        .str("crash_stage", &crash.stage)
-                        .str("crash_message", &crash.message);
-                }
-                out.push(line.finish());
+                out.push(cell.attempt.cell_line(
+                    &row.name,
+                    &cell.profile,
+                    cell.wall_ns,
+                    cell.expected,
+                ));
             }
         }
         for (stage, &(hits, ns)) in &self.metrics().stages {
@@ -563,8 +468,22 @@ impl StudyReport {
         out
     }
 
+    /// [`Evidence::counters`] summed entry by entry over every cell.
+    #[must_use]
+    pub fn counter_totals(&self) -> Counters {
+        let mut totals = Evidence::default().counters();
+        for cell in self.rows.iter().flat_map(|row| &row.cells) {
+            let counters = cell.attempt.evidence.counters();
+            for (total, (_, value)) in totals.iter_mut().zip(counters) {
+                total.1 += value;
+            }
+        }
+        totals
+    }
+
     /// Renders the profile-summary sidecar: slowest cells, hottest
-    /// solver cells, and the per-stage aggregate breakdown. Emitted
+    /// solver cells, the per-stage aggregate breakdown, and the study-wide
+    /// totals of every [`Evidence::counters`] entry. Emitted
     /// *next to* the Table-II report, never inside it — its timing data
     /// varies run to run while the report stays byte-identical.
     pub fn profile_summary(&self) -> String {
@@ -650,86 +569,11 @@ impl StudyReport {
             }
         }
 
-        {
-            let mut hits = 0u64;
-            let mut pruned = 0u64;
-            let mut slices = 0u64;
-            let mut witnessed = 0u64;
-            let mut queries = 0u64;
-            let (mut simp_ns, mut intv_ns, mut slice_ns) = (0u64, 0u64, 0u64);
-            for row in &self.rows {
-                for cell in &row.cells {
-                    let ev = &cell.attempt.evidence;
-                    hits += ev.simplify_hits;
-                    pruned += ev.terms_pruned;
-                    slices += ev.slices;
-                    witnessed += ev.witness_hits;
-                    queries += u64::from(ev.queries);
-                    simp_ns += ev.simplify_ns;
-                    intv_ns += ev.interval_ns;
-                    slice_ns += ev.slice_ns;
-                }
-            }
-            let _ = writeln!(out, "\n## Query optimizer\n");
-            let _ = writeln!(
-                out,
-                "{queries} queries: {hits} simplifier memo hits, {pruned} \
-                 constraints pruned, {slices} slices solved \
-                 ({witnessed} by interval witness, no CDCL)."
-            );
-            let _ = writeln!(
-                out,
-                "Stage time: simplify {}, interval {}, slicing {}.",
-                format_ns(simp_ns),
-                format_ns(intv_ns),
-                format_ns(slice_ns)
-            );
-        }
-
-        {
-            let mut steps = 0u64;
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            let mut invalidations = 0u64;
-            let mut decoded = 0u64;
-            let mut blockers = 0u64;
-            let mut evictions = 0u64;
-            let mut propagations = 0u64;
-            let mut shared_hits = 0u64;
-            let mut shared_stores = 0u64;
-            let mut shared_rejected = 0u64;
-            for row in &self.rows {
-                for cell in &row.cells {
-                    let ev = &cell.attempt.evidence;
-                    steps += ev.vm_steps;
-                    hits += ev.bb_hits;
-                    misses += ev.bb_misses;
-                    invalidations += ev.bb_invalidations;
-                    decoded += ev.steps_decoded;
-                    blockers += ev.blocker_skips;
-                    evictions += ev.lbd_evictions;
-                    propagations += ev.propagations;
-                    shared_hits += ev.shared_cache_hits;
-                    shared_stores += ev.shared_cache_stores;
-                    shared_rejected += ev.shared_cache_rejected;
-                }
-            }
-            let _ = writeln!(out, "\n## VM dispatch\n");
-            let _ = writeln!(
-                out,
-                "{steps} VM steps: {hits} block-cache hits, {misses} misses, \
-                 {invalidations} invalidations, {decoded} byte-decoded."
-            );
-            let _ = writeln!(
-                out,
-                "SAT hot loop: {propagations} propagations, {blockers} blocker skips, \
-                 {evictions} LBD evictions."
-            );
-            let _ = writeln!(
-                out,
-                "Shared solver cache: {shared_stores} models stored, {shared_hits} verified \
-                 read-through hits, {shared_rejected} rejected by verification."
-            );
+        let _ = writeln!(out, "\n## Cell counters\n");
+        let _ = writeln!(out, "| Counter | Total |");
+        let _ = writeln!(out, "|---|---|");
+        for (name, total) in self.counter_totals() {
+            let _ = writeln!(out, "| {name} | {total} |");
         }
 
         if self.stats.sched_costed + self.stats.sched_estimated > 0 {
@@ -742,35 +586,6 @@ impl StudyReport {
                 self.stats.sched_costed,
                 self.stats.sched_estimated
             );
-        }
-
-        {
-            let mut proven = 0u64;
-            let mut skips = 0u64;
-            let mut checked = 0u64;
-            let mut agreed = 0u64;
-            for row in &self.rows {
-                for cell in &row.cells {
-                    let ev = &cell.attempt.evidence;
-                    proven += ev.branches_proven_independent;
-                    skips += u64::from(ev.independent_skips);
-                    checked += ev.static_slice_checked;
-                    agreed += ev.static_slice_agreement;
-                }
-            }
-            if proven + checked > 0 {
-                let _ = writeln!(out, "\n## Dataflow hints\n");
-                let _ = writeln!(
-                    out,
-                    "{proven} branch sites proven input-independent, \
-                     {skips} flip candidates skipped."
-                );
-                let _ = writeln!(
-                    out,
-                    "Slice cross-check: {agreed}/{checked} dynamic cones within \
-                     the static slice."
-                );
-            }
         }
 
         if let Some(hist) = metrics.hists.get("solver.query_ns") {

@@ -375,6 +375,17 @@ pub fn str_array(items: &[String]) -> String {
     format!("[{}]", quoted.join(","))
 }
 
+/// Renders a `{...}` JSON object of unsigned integers, keys in the
+/// order given.
+#[must_use]
+pub fn u64_object<'a>(entries: impl IntoIterator<Item = (&'a str, u64)>) -> String {
+    let fields: Vec<String> = entries
+        .into_iter()
+        .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

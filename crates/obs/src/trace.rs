@@ -25,6 +25,7 @@
 
 use crate::json::{self, Json, Obj};
 use crate::{CellProfile, Field};
+use std::collections::BTreeMap;
 
 /// Version stamped on every `study_start` line.
 ///
@@ -48,8 +49,13 @@ use crate::{CellProfile, Field};
 /// The v3 `disk_cache_hits` and `cache_segments_rejected` are no longer
 /// emitted (there is no on-disk model store any more) but stay accepted,
 /// without a version bump, so v3–v5 traces that carry them still
-/// validate.
-pub const SCHEMA_VERSION: u64 = 5;
+/// validate. v6 — generic counters: a `cell` line carries its numeric
+/// telemetry in one `counters` object of unsigned integers (nonzero
+/// entries only, so a missing counter inside it reads 0) instead of one
+/// top-level field per counter. The v1–v5 top-level counters stay
+/// accepted as a frozen legacy list, and the sanity bounds read their
+/// values from either place.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Field kinds the validator distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,6 +170,15 @@ const SCHEMA: &[TypeSchema] = &[
             ("queries", Kind::U64),
         ],
         &[
+            ("counters", Kind::Obj),
+            ("retries", Kind::U64),
+            ("quarantined", Kind::Bool),
+            ("retry_backoff_ns", Kind::U64),
+            ("expected", Kind::Str),
+            ("crash_stage", Kind::Str),
+            ("crash_message", Kind::Str),
+            // v1–v5 top-level counters, frozen: v6 writes them (and any
+            // new counter) into `counters`.
             ("simplify_hits", Kind::U64),
             ("terms_pruned", Kind::U64),
             ("slices", Kind::U64),
@@ -182,10 +197,6 @@ const SCHEMA: &[TypeSchema] = &[
             ("independent_skips", Kind::U64),
             ("static_slice_checked", Kind::U64),
             ("static_slice_agreement", Kind::U64),
-            ("retries", Kind::U64),
-            ("quarantined", Kind::Bool),
-            ("retry_backoff_ns", Kind::U64),
-            // Retired: never emitted now, accepted for older traces.
             ("disk_cache_hits", Kind::U64),
             ("cache_segments_rejected", Kind::U64),
             ("propagations", Kind::U64),
@@ -195,9 +206,6 @@ const SCHEMA: &[TypeSchema] = &[
             ("trace_steps_full", Kind::U64),
             ("trace_steps_elided", Kind::U64),
             ("trace_arena_bytes", Kind::U64),
-            ("expected", Kind::Str),
-            ("crash_stage", Kind::Str),
-            ("crash_message", Kind::Str),
         ],
     ),
     (
@@ -293,9 +301,36 @@ pub fn validate_line(line: &str) -> Result<(), String> {
             Some(_) => {}
         }
     }
+    if type_ == "cell" {
+        validate_cell(obj)?;
+    }
+    Ok(())
+}
+
+/// The `cell` line's checks beyond field kinds.
+fn validate_cell(obj: &BTreeMap<String, Json>) -> Result<(), String> {
+    // v6: the generic counters are an object of unsigned integers.
+    let counters = obj.get("counters").and_then(Json::as_obj);
+    if let Some((name, _)) = counters
+        .into_iter()
+        .flatten()
+        .find(|(_, v)| v.as_u64().is_none())
+    {
+        return Err(format!(
+            "cell: counter `{name}` must be an unsigned integer"
+        ));
+    }
+    // A counter's value from either place: the v1–v5 top-level field, or
+    // the v6 `counters` object, which omits zeros. `None` only for a
+    // pre-v6 line that predates the counter.
+    let count = |name: &str| match (obj.get(name), counters) {
+        (Some(v), _) => v.as_u64(),
+        (None, Some(c)) => Some(c.get(name).and_then(Json::as_u64).unwrap_or(0)),
+        (None, None) => None,
+    };
     // Semantic (v3): a quarantined cell was by definition retried at least
     // once — the verdict needs two identical failures to form.
-    if type_ == "cell" && obj.get("quarantined") == Some(&Json::Bool(true)) {
+    if obj.get("quarantined") == Some(&Json::Bool(true)) {
         let retries = obj.get("retries").and_then(Json::as_u64).unwrap_or(0);
         if retries < 1 {
             return Err("cell: quarantined without at least one retry".to_string());
@@ -307,38 +342,27 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     // magnitude beyond the walked-entries ceiling (conservatively 4096
     // watchers per propagated literal) is the tombstoned-watcher
     // re-walking pathology this bound was added to catch.
-    if type_ == "cell" {
-        let skips = obj.get("blocker_skips").and_then(Json::as_u64);
-        let props = obj.get("propagations").and_then(Json::as_u64);
-        if let (Some(skips), Some(props)) = (skips, props) {
-            if skips > 0 && props == 0 {
-                return Err("cell: blocker_skips without any propagations".to_string());
-            }
-            if skips > props.saturating_mul(4096) {
-                return Err(format!(
-                    "cell: blocker_skips ({skips}) exceeds {} (propagations x 4096) — \
-                     watch lists are re-walking dead entries",
-                    props.saturating_mul(4096)
-                ));
-            }
+    if let (Some(skips), Some(props)) = (count("blocker_skips"), count("propagations")) {
+        if skips > 0 && props == 0 {
+            return Err("cell: blocker_skips without any propagations".to_string());
+        }
+        if skips > props.saturating_mul(4096) {
+            return Err(format!(
+                "cell: blocker_skips ({skips}) exceeds {} (propagations x 4096) — \
+                 watch lists are re-walking dead entries",
+                props.saturating_mul(4096)
+            ));
         }
     }
     // Semantic (v5): every recorded step occupies a fixed-size table row,
     // so a cell reporting steps with a zero-byte arena is instrumentation
     // drift (the counters and the arena are maintained by the same
     // recorder).
-    if type_ == "cell" {
-        let full = obj.get("trace_steps_full").and_then(Json::as_u64);
-        let elided = obj.get("trace_steps_elided").and_then(Json::as_u64);
-        let bytes = obj.get("trace_arena_bytes").and_then(Json::as_u64);
-        let steps = full.unwrap_or(0) + elided.unwrap_or(0);
-        if let Some(bytes) = bytes {
-            if steps > 0 && bytes == 0 {
-                return Err(format!(
-                    "cell: {steps} recorded trace steps with an empty arena"
-                ));
-            }
-        }
+    let steps = count("trace_steps_full").unwrap_or(0) + count("trace_steps_elided").unwrap_or(0);
+    if steps > 0 && count("trace_arena_bytes") == Some(0) {
+        return Err(format!(
+            "cell: {steps} recorded trace steps with an empty arena"
+        ));
     }
     Ok(())
 }
@@ -507,6 +531,20 @@ mod tests {
             "{\"type\":\"counter\",\"bomb\":\"b\",\"profile\":\"p\",\"name\":\"n\",\"value\":9}"
         )
         .is_ok());
+        // A v6 `counters` object holds unsigned integers under any name.
+        let cell = "\"type\":\"cell\",\"bomb\":\"b\",\"profile\":\"p\",\"outcome\":\"Y\",\
+                    \"wall_ns\":1,\"rounds\":1,\"queries\":1";
+        assert!(validate_line(&format!(
+            "{{{cell},\"counters\":{{\"vm_steps\":70,\"a_new_counter\":3}}}}"
+        ))
+        .is_ok());
+        for bad in ["\"70\"", "true", "null", "[1]", "{\"x\":1}"] {
+            assert!(
+                validate_line(&format!("{{{cell},\"counters\":{{\"vm_steps\":{bad}}}}}")).is_err(),
+                "counter value {bad} accepted"
+            );
+        }
+        assert!(validate_line(&format!("{{{cell},\"counters\":[]}}")).is_err());
     }
 
     #[test]
@@ -526,6 +564,12 @@ mod tests {
         assert!(validate_line(&format!("{{{base},\"quarantined\":true,\"retries\":0}}")).is_err());
         // Quarantined=false needs no retries.
         assert!(validate_line(&format!("{{{base},\"quarantined\":false}}")).is_ok());
+        // v6: the durability fields sit beside the `counters` object.
+        assert!(validate_line(&format!(
+            "{{{base},\"counters\":{{\"rounds\":1,\"queries\":1}},\"retries\":1,\
+             \"quarantined\":true,\"retry_backoff_ns\":5,\"expected\":\"Es1\"}}"
+        ))
+        .is_ok());
         // Summary trailer accepts the checkpoint counters.
         assert!(validate_line(
             "{\"type\":\"summary\",\"cells\":1,\"spans\":0,\"events\":0,\"counters\":0,\
@@ -563,6 +607,18 @@ mod tests {
         .is_ok());
         // Old traces without `propagations` are not judged by the bound.
         assert!(validate_line(&format!("{{{base},\"blocker_skips\":355219364}}")).is_ok());
+        // v6: the bound reads `counters`, where a missing counter is 0.
+        assert!(validate_line(&format!(
+            "{{{base},\"counters\":{{\"propagations\":500,\"blocker_skips\":900}}}}"
+        ))
+        .is_ok());
+        assert!(
+            validate_line(&format!("{{{base},\"counters\":{{\"blocker_skips\":7}}}}")).is_err()
+        );
+        assert!(validate_line(&format!(
+            "{{{base},\"counters\":{{\"blocker_skips\":355219364,\"propagations\":10}}}}"
+        ))
+        .is_err());
         // Summary trailer accepts the scheduler counters.
         assert!(validate_line(
             "{\"type\":\"summary\",\"cells\":1,\"spans\":0,\"events\":0,\"counters\":0,\
@@ -600,6 +656,19 @@ mod tests {
         .is_ok());
         // Old traces without the byte counter are not judged by the bound.
         assert!(validate_line(&format!("{{{base},\"trace_steps_full\":7}}")).is_ok());
+        // v6: the bound reads `counters`, where a missing counter is 0.
+        assert!(validate_line(&format!(
+            "{{{base},\"counters\":{{\"trace_steps_full\":120,\"trace_arena_bytes\":8192}}}}"
+        ))
+        .is_ok());
+        assert!(validate_line(&format!(
+            "{{{base},\"counters\":{{\"trace_steps_full\":1}}}}"
+        ))
+        .is_err());
+        assert!(validate_line(&format!(
+            "{{{base},\"counters\":{{\"trace_steps_elided\":5,\"trace_arena_bytes\":0}}}}"
+        ))
+        .is_err());
     }
 
     #[test]

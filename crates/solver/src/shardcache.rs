@@ -27,9 +27,9 @@
 //!   paper measures each tool, so they neither read nor write the store
 //!   and Table II is byte-identical with it armed or not.
 //!
-//! The `BOMBLAB_SHARDCACHE_POISON` environment variable corrupts every
-//! stored binding (CI's poisoning smoke): with it set, every lookup must
-//! be rejected by verification and the report must not move.
+//! [`ShardCache::poisoned`] corrupts every stored binding: with it, every
+//! lookup must be rejected by verification and the verdicts must not
+//! move (`tests/study_parallel.rs` runs a study slice through one).
 
 use crate::expr::Term;
 use crate::smtlib;
@@ -67,23 +67,13 @@ pub struct ShardCache {
     stores: AtomicU64,
     rejected: AtomicU64,
     /// Corrupt every stored binding (fault hook for the verification
-    /// path; armed by `BOMBLAB_SHARDCACHE_POISON`).
+    /// path; armed only by [`ShardCache::poisoned`]).
     poison: bool,
 }
 
 impl ShardCache {
-    /// Creates an empty cache, arming the poison hook iff the
-    /// `BOMBLAB_SHARDCACHE_POISON` environment variable is set.
-    #[must_use]
-    pub fn new() -> ShardCache {
-        ShardCache {
-            poison: std::env::var_os("BOMBLAB_SHARDCACHE_POISON").is_some(),
-            ..ShardCache::default()
-        }
-    }
-
-    /// An empty cache that corrupts everything it stores, regardless of
-    /// the environment (tests of the verification path).
+    /// An empty cache that corrupts everything it stores (tests of the
+    /// verification path).
     #[must_use]
     pub fn poisoned() -> ShardCache {
         ShardCache {
@@ -92,10 +82,10 @@ impl ShardCache {
         }
     }
 
-    /// `new()`, boxed into the `Arc` every consumer wants anyway.
+    /// An empty cache, boxed into the `Arc` every consumer wants anyway.
     #[must_use]
     pub fn shared() -> Arc<ShardCache> {
-        Arc::new(ShardCache::new())
+        Arc::default()
     }
 
     fn shard(&self, key: u64) -> &RwLock<HashMap<u64, Bindings>> {

@@ -424,34 +424,7 @@ fn solve_trace_lines(
         .raw("profiles", &str_array(std::slice::from_ref(&cell.profile)))
         .finish()];
     render_cell(cell, &mut lines);
-    let ev = &attempt.evidence;
-    let mut line = Obj::new("cell")
-        .str("bomb", &cell.bomb)
-        .str("profile", &cell.profile)
-        .str("outcome", &attempt.outcome.to_string())
-        .u64("wall_ns", wall_ns)
-        .u64("rounds", u64::from(ev.rounds))
-        .u64("queries", u64::from(ev.queries));
-    if ev.branches_proven_independent > 0 {
-        line = line.u64(
-            "branches_proven_independent",
-            ev.branches_proven_independent,
-        );
-    }
-    if ev.independent_skips > 0 {
-        line = line.u64("independent_skips", u64::from(ev.independent_skips));
-    }
-    if ev.static_slice_checked > 0 {
-        line = line
-            .u64("static_slice_checked", ev.static_slice_checked)
-            .u64("static_slice_agreement", ev.static_slice_agreement);
-    }
-    if let Some(crash) = &ev.crash {
-        line = line
-            .str("crash_stage", &crash.stage)
-            .str("crash_message", &crash.message);
-    }
-    lines.push(line.finish());
+    lines.push(attempt.cell_line(&cell.bomb, &cell.profile, wall_ns, None));
     lines.push(
         Obj::new("summary")
             .u64("cells", 1)

@@ -5,10 +5,12 @@
 //! schema-valid JSONL covering every pipeline stage for every cell.
 
 use bomblab::bombs::dataset;
-use bomblab::concolic::StudyReport;
+use bomblab::concolic::{Evidence, StudyReport};
 use bomblab::obs;
-use bomblab::obs::trace::validate_lines;
+use bomblab::obs::json::{self, Json};
+use bomblab::obs::trace::{validate_line, validate_lines};
 use bomblab::prelude::*;
+use std::collections::BTreeMap;
 
 /// Multi-round bombs, single-round failures, and a solved case — the
 /// same slice the parallel-determinism suite uses.
@@ -171,4 +173,74 @@ fn chaos_sweeps_can_observe_without_changing_verdicts() {
         let doc = t.report.trace_lines().join("\n");
         validate_lines(&doc).expect("chaos trace lines validate");
     }
+}
+
+/// The nonzero entries of an attempt's counter list, as the trace
+/// carries them.
+fn nonzero_counters(ev: &Evidence) -> BTreeMap<String, Json> {
+    ev.counters()
+        .into_iter()
+        .filter(|&(_, v)| v > 0)
+        .map(|(name, v)| (name.to_string(), Json::U64(v)))
+        .collect()
+}
+
+#[test]
+fn cell_lines_carry_every_nonzero_counter() {
+    let cases: Vec<StudyCase> = bomblab::bombs::all_cases()
+        .into_iter()
+        .filter(|c| c.subject.name.starts_with("decl"))
+        .collect();
+    let report = run_study_with(
+        &cases,
+        &ToolProfile::paper_lineup(),
+        &StudyOptions {
+            jobs: 2,
+            observe: true,
+            ..StudyOptions::default()
+        },
+    );
+    let lines = report.trace_lines();
+    let cell_lines: Vec<BTreeMap<String, Json>> = lines
+        .iter()
+        .map(|l| json::parse(l).expect("trace line parses"))
+        .filter(|v| v.as_obj().expect("object")["type"].as_str() == Some("cell"))
+        .map(|v| v.as_obj().expect("object").clone())
+        .collect();
+    let cells: Vec<_> = report
+        .rows
+        .iter()
+        .flat_map(|row| row.cells.iter().map(move |cell| (row, cell)))
+        .collect();
+    assert_eq!(cell_lines.len(), cells.len());
+    for (line, (row, cell)) in cell_lines.iter().zip(cells) {
+        assert_eq!(line["bomb"].as_str(), Some(row.name.as_str()));
+        assert_eq!(line["profile"].as_str(), Some(cell.profile.as_str()));
+        let counters = line["counters"].as_obj().expect("counters object");
+        assert_eq!(
+            counters,
+            &nonzero_counters(&cell.attempt.evidence),
+            "{} x {}",
+            row.name,
+            cell.profile
+        );
+    }
+}
+
+#[test]
+fn a_solved_attempt_renders_a_valid_cell_line() {
+    // The `solve --trace` path: one engine run outside any study.
+    let case = dataset::covert_stack();
+    let ground = bomblab::concolic::ground_truth(&case.subject, &case.trigger);
+    let attempt = Engine::new(ToolProfile::omniscient()).explore(&case.subject, &ground);
+    assert_eq!(attempt.outcome, Outcome::Solved);
+    let line = attempt.cell_line(&case.subject.name, "Omniscient", 1, None);
+    validate_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+    let parsed = json::parse(&line).expect("cell line parses");
+    let counters = parsed.as_obj().expect("object")["counters"]
+        .as_obj()
+        .expect("counters object")
+        .clone();
+    assert_eq!(counters, nonzero_counters(&attempt.evidence));
+    assert!(counters.contains_key("vm_steps") && counters.contains_key("queries"));
 }

@@ -6,7 +6,7 @@
 
 use bomblab::bombs::dataset;
 use bomblab::concolic::checkpoint::{fingerprint, CellRecord, Journal};
-use bomblab::concolic::{ground_truth, run_study_with, StudyOptions};
+use bomblab::concolic::{ground_truth, run_study_with, StaticHints, StudyOptions};
 use bomblab::prelude::*;
 use bomblab::solver::ShardCache;
 use proptest::prelude::*;
@@ -201,4 +201,38 @@ fn paper_profiles_run_a_stateless_solver() {
         store.entries() > 0,
         "the incremental profile must fill the store"
     );
+}
+
+#[test]
+fn a_poisoned_store_costs_re_solves_never_verdicts() {
+    // The covert family under Omniscient, in dataset order, once with no
+    // store and once through one shared store that corrupts every model
+    // it keeps. A corrupted model answers a slice only if it still
+    // verifies, so rejections must fire and no outcome or solved input
+    // may move.
+    let cases: Vec<StudyCase> = bomblab::bombs::all_cases()
+        .into_iter()
+        .filter(|c| c.subject.name.starts_with("covert"))
+        .collect();
+    assert!(!cases.is_empty());
+    let poisoned = Arc::new(ShardCache::poisoned());
+    let mut rejected = 0;
+    for case in &cases {
+        let ground = ground_truth(&case.subject, &case.trigger);
+        let analysis = bomblab::sa::analyze(&case.subject.image, case.subject.lib.as_ref());
+        let engine = Engine::new(ToolProfile::omniscient())
+            .with_static_hints(StaticHints::from_analysis(&analysis).with_dataflow(&analysis));
+        let plain = engine.explore(&case.subject, &ground);
+        let dirty = engine
+            .with_shared_cache(Some(Arc::clone(&poisoned)))
+            .explore(&case.subject, &ground);
+        let name = &case.subject.name;
+        assert_eq!(plain.outcome, dirty.outcome, "{name}: verdict moved");
+        assert_eq!(
+            plain.solved_input, dirty.solved_input,
+            "{name}: solved input moved"
+        );
+        rejected += dirty.evidence.shared_cache_rejected;
+    }
+    assert!(rejected > 0, "no poisoned model was ever looked up");
 }
