@@ -100,8 +100,7 @@ pub fn chaos_sweep(
                     observe: config.observe,
                     retries: config.retries,
                     checkpoint: config.checkpoint.clone(),
-                    resume: false,
-                    shared_cache: true,
+                    ..StudyOptions::default()
                 },
             );
             let violations = check_containment(cases, profiles, &report);

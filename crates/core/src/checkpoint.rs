@@ -37,6 +37,7 @@ use crate::engine::CrashDiag;
 use crate::outcome::Outcome;
 use bomblab_fault as fault;
 use bomblab_fault::{FaultAction, FaultSite};
+use bomblab_obs::fnv;
 use bomblab_obs::json::{self, str_array, Json, Obj};
 use std::collections::HashMap;
 use std::fs;
@@ -68,18 +69,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// parts so `["ab","c"]` and `["a","bc"]` hash differently. Used to
 /// fingerprint the study configuration in the journal header.
 pub fn fingerprint<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325_u64;
-    let mut fold = |byte: u64| {
-        h ^= byte;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    };
-    for part in parts {
-        for &b in part.as_bytes() {
-            fold(u64::from(b));
-        }
-        fold(0x1FF);
-    }
-    h
+    parts.into_iter().fold(fnv::OFFSET, |h, part| {
+        fnv::fold(fnv::fold_bytes(h, part.as_bytes()), 0x1FF)
+    })
 }
 
 /// The report-critical digest of one completed cell. Everything

@@ -13,7 +13,7 @@ use bomblab_solver::expr::{CmpOp, Term};
 use bomblab_solver::{ShardCache, SolveOutcome, Solver, UnknownReason};
 use bomblab_symex::{SymExec, SymbolizeEnv};
 use bomblab_taint::{TaintEngine, TaintPolicy};
-use bomblab_vm::{Machine, RunStatus, Trace, BOOM_EXIT_CODE, ROOT_PID};
+use bomblab_vm::{Machine, MachineConfig, RunStatus, Trace, BOOM_EXIT_CODE, ROOT_PID};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 /// A program under test.
@@ -461,13 +461,26 @@ pub struct GroundTruth {
 
 /// Computes ground truth by running the trigger input omnisciently.
 pub fn ground_truth(subject: &Subject, trigger: &WorldInput) -> GroundTruth {
+    ground_truth_with(subject, trigger, true)
+}
+
+/// [`ground_truth`], choosing whether the VM dispatches through the
+/// predecoded block cache.
+pub(crate) fn ground_truth_with(
+    subject: &Subject,
+    trigger: &WorldInput,
+    bbcache: bool,
+) -> GroundTruth {
     let mut gt = GroundTruth {
         needs_time: trigger.epoch != subject.seed.epoch,
         needs_net: trigger.net != subject.seed.net,
         needs_uid: trigger.uid != subject.seed.uid,
         ..GroundTruth::default()
     };
-    let config = trigger.to_config(true, 4_000_000);
+    let config = MachineConfig {
+        bbcache,
+        ..trigger.to_config(true, 4_000_000)
+    };
     let Ok(mut machine) = Machine::load(&subject.image, subject.lib.as_ref(), config) else {
         return gt;
     };
@@ -567,6 +580,8 @@ pub struct Engine {
     profile: ToolProfile,
     hints: StaticHints,
     shared_cache: Option<std::sync::Arc<ShardCache>>,
+    force_sparse_trace: bool,
+    bbcache: bool,
 }
 
 impl Engine {
@@ -576,7 +591,26 @@ impl Engine {
             profile,
             hints: StaticHints::default(),
             shared_cache: None,
+            force_sparse_trace: false,
+            bbcache: true,
         }
+    }
+
+    /// Forces taint-gated trace elision on for every profile it is
+    /// compatible with (A/B runs proving that reports do not depend on
+    /// operand capture). Off by default.
+    #[must_use]
+    pub fn force_sparse_trace(mut self, on: bool) -> Engine {
+        self.force_sparse_trace = on;
+        self
+    }
+
+    /// Chooses whether the engine's VM runs dispatch through the
+    /// predecoded block cache (`MachineConfig::bbcache`). On by default.
+    #[must_use]
+    pub fn with_bbcache(mut self, on: bool) -> Engine {
+        self.bbcache = on;
+        self
     }
 
     /// Installs statically proven facts used to prune symbolic work.
@@ -669,10 +703,13 @@ impl Engine {
 
             // 1. Concrete execution with tracing.
             fault::set_stage("vm");
-            let mut config = input.to_config(true, self.profile.step_budget);
+            let mut config = MachineConfig {
+                bbcache: self.bbcache,
+                ..input.to_config(true, self.profile.step_budget)
+            };
             // Taint-gated sparse recording: seed the VM's online gate
-            // with the same symbolic ranges the taint engine uses. The
-            // environment override forces elision for every compatible
+            // with the same symbolic ranges the taint engine uses.
+            // `force_sparse_trace` forces elision for every compatible
             // profile (CI uses it to prove the reports don't depend on
             // operand capture). A profile that treats library code as
             // opaque is *not* compatible: its symbolic executor mines
@@ -680,9 +717,7 @@ impl Engine {
             // function summaries, and an elided step hides exactly that
             // data — so elision stays off whenever opaque ranges exist.
             let opaque_libs = !self.profile.loads_dyn_libs && !lib_ranges.is_empty();
-            if (self.profile.sparse_trace || std::env::var_os("BOMBLAB_SPARSE_TRACE").is_some())
-                && !opaque_libs
-            {
+            if (self.profile.sparse_trace || self.force_sparse_trace) && !opaque_libs {
                 config.sparse_taint = Some(vec![(subject.argv1_addr(), input.argv1.len() as u64)]);
             }
             let Ok(mut machine) = Machine::load(&subject.image, subject.lib.as_ref(), config)

@@ -9,7 +9,7 @@
 use crate::checkpoint::{self, CellRecord, Journal};
 use crate::engine::GroundTruth;
 use crate::engine::{
-    ground_truth, Attempt, Counters, CrashDiag, Engine, Evidence, StaticHints, Subject,
+    ground_truth_with, Attempt, Counters, CrashDiag, Engine, Evidence, StaticHints, Subject,
 };
 use crate::outcome::Outcome;
 use crate::profile::ToolProfile;
@@ -25,6 +25,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
+
+/// `eprintln!` for progress lines, in one write: standard error is
+/// unbuffered, so `eprintln!` makes a system call per formatted fragment.
+macro_rules! progress {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let line = format!("{}\n", format_args!($($arg)*));
+        let _ = std::io::stderr().write_all(line.as_bytes());
+    }};
+}
 
 /// One dataset entry: a subject plus its known trigger and the outcome row
 /// the paper reports (the oracle used for agreement scoring).
@@ -124,6 +134,14 @@ pub struct StudyOptions {
     /// Stateless paper-tool profiles never attach it, so Table II stays
     /// byte-identical with this on or off. On by default.
     pub shared_cache: bool,
+    /// Force taint-gated trace elision on for every profile it is
+    /// compatible with, as an A/B check that reports do not depend on
+    /// operand capture (`bomblab study --sparse-trace`). Off by default.
+    pub sparse_trace: bool,
+    /// Dispatch the VM runs of ground truth and the cells through the
+    /// predecoded block cache; off is the decode-per-step A/B leg
+    /// (`bomblab study --no-bbcache`). On by default.
+    pub bbcache: bool,
 }
 
 impl Default for StudyOptions {
@@ -141,6 +159,8 @@ impl Default for StudyOptions {
             checkpoint: None,
             resume: false,
             shared_cache: true,
+            sparse_trace: false,
+            bbcache: true,
         }
     }
 }
@@ -895,28 +915,66 @@ pub fn run_study_with(
     // prediction column. Ground truth is the study's *oracle* and runs
     // unfaulted; the analyzer runs armed, and a contained analyzer crash
     // degrades the row (default hints, `E` predictions) without losing it.
-    type GroundSlot = (
-        GroundTruth,
-        Result<bomblab_sa::Analysis, CrashDiag>,
+    //
+    // Every ground truth runs before the first analysis. An analysis
+    // frees many small blocks, and the allocator settles them at the next
+    // large allocation: back to back, that is the next analysis, inside
+    // its own span, not the next case's ground-truth VM load.
+    //
+    // Each half has its own observation window under one pseudo-profile
+    // name, joined per case. A window sits *outside* the containment
+    // boundary so a contained analyzer crash still yields the spans
+    // recorded up to the panic.
+    type Oracle = (
+        Result<GroundTruth, String>,
+        Duration,
         Option<obs::CellProfile>,
     );
-    let grounds: Vec<GroundSlot> = parallel_map(
+    let oracles: Vec<Oracle> = parallel_map(
         jobs,
         cases.len(),
         |i| {
             let case = &cases[i];
             let t0 = std::time::Instant::now();
-            // The observation window wraps the whole phase-1 unit under a
-            // pseudo-profile name; it sits *outside* the containment
-            // boundary so a contained analyzer crash still yields the
-            // spans recorded up to the panic.
             let obs_token = options
                 .observe
                 .then(|| obs::arm(&case.subject.name, "oracle+static"));
-            let ground = ground_truth(&case.subject, &case.trigger);
+            let ground = ground_truth_with(&case.subject, &case.trigger, options.bbcache);
+            (Ok(ground), t0.elapsed(), obs_token.map(obs::disarm))
+        },
+        |i, message| {
+            // Even ground truth died: keep the row with a default oracle.
+            progress!(
+                "[study] {}: phase-1 worker crashed (contained): {message}",
+                cases[i].subject.name
+            );
+            (Err(message), Duration::ZERO, None)
+        },
+    );
+    type Static = (Result<StaticProducts, CrashDiag>, Option<obs::CellProfile>);
+    let statics: Vec<Static> = parallel_map(
+        jobs,
+        cases.len(),
+        |i| {
+            let case = &cases[i];
+            let (oracle, oracle_time, _) = &oracles[i];
+            if let Err(message) = oracle {
+                let diag = CrashDiag {
+                    message: message.clone(),
+                    stage: "ground truth".to_string(),
+                    elapsed_ns: 0,
+                };
+                return (Err(diag), None);
+            }
+            let t0 = std::time::Instant::now();
+            let obs_token = options
+                .observe
+                .then(|| obs::arm(&case.subject.name, "oracle+static"));
             let token = fault::arm(plan, deadline);
             let analysis = catch_unwind(AssertUnwindSafe(|| {
-                bomblab_sa::analyze(&case.subject.image, case.subject.lib.as_ref())
+                bomblab_sa::analyze_then(&case.subject.image, case.subject.lib.as_ref(), |a| {
+                    StaticProducts::distill(&a, &capabilities)
+                })
             }));
             let containment = fault::disarm(token);
             let profile = obs_token.map(obs::disarm);
@@ -926,36 +984,52 @@ pub fn run_study_with(
                 elapsed_ns: containment.elapsed.as_nanos() as u64,
             });
             match &analysis {
-                Ok(a) => eprintln!(
+                Ok(a) => progress!(
                     "[study] {}: ground truth + static analysis in {:.1?} ({})",
                     case.subject.name,
-                    t0.elapsed(),
-                    a.summary()
+                    *oracle_time + t0.elapsed(),
+                    a.summary
                 ),
-                Err(diag) => eprintln!(
+                Err(diag) => progress!(
                     "[study] {}: static analysis crashed (contained): {}",
-                    case.subject.name, diag.message
+                    case.subject.name,
+                    diag.message
                 ),
             }
-            (ground, analysis, profile)
+            (analysis, profile)
         },
         |i, message| {
-            // Even ground truth died: keep the row with a default oracle.
-            eprintln!(
+            progress!(
                 "[study] {}: phase-1 worker crashed (contained): {message}",
                 cases[i].subject.name
             );
-            (
-                GroundTruth::default(),
-                Err(CrashDiag {
-                    message,
-                    stage: "ground truth".to_string(),
-                    elapsed_ns: 0,
-                }),
-                None,
-            )
+            let diag = CrashDiag {
+                message,
+                stage: "static analysis".to_string(),
+                elapsed_ns: 0,
+            };
+            (Err(diag), None)
         },
     );
+    type GroundSlot = (
+        GroundTruth,
+        Result<StaticProducts, CrashDiag>,
+        Option<obs::CellProfile>,
+    );
+    let grounds: Vec<GroundSlot> = oracles
+        .into_iter()
+        .zip(statics)
+        .map(|((ground, _, oracle_obs), (analysis, static_obs))| {
+            let profile = match (oracle_obs, static_obs) {
+                (Some(mut first), Some(second)) => {
+                    first.append(second);
+                    Some(first)
+                }
+                (first, second) => first.or(second),
+            };
+            (ground.unwrap_or_default(), analysis, profile)
+        })
+        .collect();
 
     // Scheduling costs must be read *before* `Journal::open`: a
     // non-resume open truncates the journal, history and all — and even a
@@ -990,10 +1064,7 @@ pub fn run_study_with(
                 }
                 None => {
                     sched_estimated += 1;
-                    cost.push(estimate_cell_cost(
-                        &grounds[k / profiles.len()].1,
-                        &capabilities[col],
-                    ));
+                    cost.push(estimate_cell_cost(&grounds[k / profiles.len()].1, col));
                 }
             }
         }
@@ -1021,7 +1092,7 @@ pub fn run_study_with(
             match Journal::open(dir, fp, options.resume) {
                 Ok((journal, completed)) => {
                     if !completed.is_empty() {
-                        eprintln!(
+                        progress!(
                             "[study] resuming: {} of {} cells replay from the journal",
                             completed.len(),
                             cases.len() * profiles.len()
@@ -1030,7 +1101,7 @@ pub fn run_study_with(
                     Some((Mutex::new(journal), completed))
                 }
                 Err(e) => {
-                    eprintln!("[study] checkpoint journal unavailable ({e}); running without");
+                    progress!("[study] checkpoint journal unavailable ({e}); running without");
                     None
                 }
             }
@@ -1057,9 +1128,11 @@ pub fn run_study_with(
                 // splicing a record into the wrong cell.
                 if rec.bomb == case.subject.name && rec.profile == profile.name {
                     cells_replayed.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
+                    progress!(
                         "[study]   {} x {}: {} (replayed from checkpoint)",
-                        case.subject.name, profile.name, rec.outcome
+                        case.subject.name,
+                        profile.name,
+                        rec.outcome
                     );
                     return replay_cell(case, profile, col, rec);
                 }
@@ -1067,11 +1140,10 @@ pub fn run_study_with(
             let hints = analysis
                 .as_ref()
                 .map(|a| {
-                    let h = StaticHints::from_analysis(a);
                     if profile.use_dataflow_hints {
-                        h.with_dataflow(a)
+                        a.dataflow_hints.clone()
                     } else {
-                        h
+                        a.hints.clone()
                     }
                 })
                 .unwrap_or_default();
@@ -1085,82 +1157,86 @@ pub fn run_study_with(
             let mut retry_log: Vec<String> = Vec::new();
             let mut backoff_total_ns = 0u64;
             let mut attempt_no = 0u32;
-            let mut cell = loop {
-                let armed_plan = if attempt_no == 0 { plan } else { None };
-                let attempt_deadline = deadline.map(|d| d * (1u32 << attempt_no.min(2)));
-                // Observation window outside the containment boundary: a
-                // contained panic still yields the spans recorded up to
-                // it. Only the final attempt's window survives.
-                let obs_token = options
-                    .observe
-                    .then(|| obs::arm(&case.subject.name, &profile.name));
-                let token = fault::arm(armed_plan, attempt_deadline);
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    Engine::new(profile.clone())
-                        .with_static_hints(hints.clone())
-                        .with_shared_cache(shared_cache.clone())
-                        .explore(&case.subject, ground)
-                }));
-                let containment = fault::disarm(token);
-                let obs_profile = obs_token.map(obs::disarm);
-                let mut cell = match result {
-                    Ok(mut attempt) => {
-                        attempt.evidence.injected_faults = containment.injected;
-                        CellResult {
-                            profile: profile.name.clone(),
-                            outcome: attempt.outcome,
-                            expected: case.paper_expected.and_then(|row| row.get(col).copied()),
-                            wall_ns: t1.elapsed().as_nanos() as u64,
-                            attempt,
-                            obs: None,
+            let mut cell =
+                loop {
+                    let armed_plan = if attempt_no == 0 { plan } else { None };
+                    let attempt_deadline = deadline.map(|d| d * (1u32 << attempt_no.min(2)));
+                    // Observation window outside the containment boundary: a
+                    // contained panic still yields the spans recorded up to
+                    // it. Only the final attempt's window survives.
+                    let obs_token = options
+                        .observe
+                        .then(|| obs::arm(&case.subject.name, &profile.name));
+                    let token = fault::arm(armed_plan, attempt_deadline);
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        Engine::new(profile.clone())
+                            .with_static_hints(hints.clone())
+                            .with_shared_cache(shared_cache.clone())
+                            .force_sparse_trace(options.sparse_trace)
+                            .with_bbcache(options.bbcache)
+                            .explore(&case.subject, ground)
+                    }));
+                    let containment = fault::disarm(token);
+                    let obs_profile = obs_token.map(obs::disarm);
+                    let mut cell = match result {
+                        Ok(mut attempt) => {
+                            attempt.evidence.injected_faults = containment.injected;
+                            CellResult {
+                                profile: profile.name.clone(),
+                                outcome: attempt.outcome,
+                                expected: case.paper_expected.and_then(|row| row.get(col).copied()),
+                                wall_ns: t1.elapsed().as_nanos() as u64,
+                                attempt,
+                                obs: None,
+                            }
                         }
+                        Err(payload) => abnormal_cell(
+                            case,
+                            profile,
+                            col,
+                            CrashDiag {
+                                message: fault::panic_message(&*payload),
+                                stage: containment.stage.to_string(),
+                                elapsed_ns: containment.elapsed.as_nanos() as u64,
+                            },
+                            Some(&containment),
+                        ),
+                    };
+                    cell.obs = obs_profile;
+                    cell.attempt.evidence.fault_log = containment.fired;
+                    let failed = cell.attempt.evidence.crash.is_some()
+                        || cell.attempt.evidence.injected_faults > 0;
+                    if !failed || attempt_no >= options.retries {
+                        break cell;
                     }
-                    Err(payload) => abnormal_cell(
-                        case,
-                        profile,
-                        col,
-                        CrashDiag {
-                            message: fault::panic_message(&*payload),
-                            stage: containment.stage.to_string(),
-                            elapsed_ns: containment.elapsed.as_nanos() as u64,
-                        },
-                        Some(&containment),
-                    ),
-                };
-                cell.obs = obs_profile;
-                cell.attempt.evidence.fault_log = containment.fired;
-                let failed = cell.attempt.evidence.crash.is_some()
-                    || cell.attempt.evidence.injected_faults > 0;
-                if !failed || attempt_no >= options.retries {
-                    break cell;
-                }
-                let message = cell.attempt.evidence.crash.as_ref().map_or_else(
-                    || "injected fault (no crash)".to_string(),
-                    |c| c.message.clone(),
-                );
-                if failure_is_deterministic(previous_crash.as_deref(), &message) {
-                    cell.attempt.evidence.quarantined = true;
-                    eprintln!(
-                        "[study]   {} x {}: quarantined after repeated failure `{message}`",
-                        case.subject.name, profile.name
+                    let message = cell.attempt.evidence.crash.as_ref().map_or_else(
+                        || "injected fault (no crash)".to_string(),
+                        |c| c.message.clone(),
                     );
-                    break cell;
-                }
-                retry_log.push(message.clone());
-                previous_crash = Some(message);
-                attempt_no += 1;
-                let backoff = Duration::from_millis(10) * (1u32 << (attempt_no - 1).min(8));
-                backoff_total_ns += backoff.as_nanos() as u64;
-                eprintln!(
+                    if failure_is_deterministic(previous_crash.as_deref(), &message) {
+                        cell.attempt.evidence.quarantined = true;
+                        progress!(
+                            "[study]   {} x {}: quarantined after repeated failure `{message}`",
+                            case.subject.name,
+                            profile.name
+                        );
+                        break cell;
+                    }
+                    retry_log.push(message.clone());
+                    previous_crash = Some(message);
+                    attempt_no += 1;
+                    let backoff = Duration::from_millis(10) * (1u32 << (attempt_no - 1).min(8));
+                    backoff_total_ns += backoff.as_nanos() as u64;
+                    progress!(
                     "[study]   {} x {}: transient failure; retry {attempt_no}/{} after {backoff:?}",
                     case.subject.name, profile.name, options.retries
                 );
-                std::thread::sleep(backoff);
-            };
+                    std::thread::sleep(backoff);
+                };
             cell.attempt.evidence.retries = attempt_no;
             cell.attempt.evidence.retry_backoff_ns = backoff_total_ns;
             cell.attempt.evidence.retry_log = retry_log;
-            eprintln!(
+            progress!(
                 "[study]   {} x {}: {} in {:.1?} ({} rounds, {} queries{})",
                 case.subject.name,
                 profile.name,
@@ -1197,11 +1273,11 @@ pub fn run_study_with(
                     Ok(Ok(())) => {}
                     Ok(Err(e)) => {
                         checkpoint_io_errors.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("[study] checkpoint append failed (self-healing): {e}");
+                        progress!("[study] checkpoint append failed (self-healing): {e}");
                     }
                     Err(payload) => {
                         checkpoint_io_errors.fetch_add(1, Ordering::Relaxed);
-                        eprintln!(
+                        progress!(
                             "[study] checkpoint append panicked (contained): {}",
                             fault::panic_message(&*payload)
                         );
@@ -1232,13 +1308,7 @@ pub fn run_study_with(
         .zip(grounds)
         .map(|(case, (ground, analysis, analysis_obs))| {
             let (static_predictions, analysis_crash) = match analysis {
-                Ok(a) => (
-                    capabilities
-                        .iter()
-                        .map(|caps| bomblab_sa::predict(&a.facts, caps).into())
-                        .collect(),
-                    None,
-                ),
+                Ok(a) => (a.predictions, None),
                 // No analysis to predict from: the static tool itself
                 // died on this binary, which is exactly the paper's `E`.
                 Err(diag) => (vec![Outcome::Abnormal; profiles.len()], Some(diag)),
@@ -1266,24 +1336,50 @@ pub fn run_study_with(
     }
 }
 
-/// Static scheduling estimate for one cell, when the journal has no
-/// history for it. The unit is fictional — only the *relative* order
-/// matters (ties fall back to dataset order), so the weights just rank
-/// how much solver work the predicted outcome implies: `Es2` cells grind
-/// the conflict budget down (crypto functions, covert propagation — the
-/// study's measured tail), predicted solves run the full concolic loop
-/// to detonation, the other failure stages die progressively earlier.
-fn estimate_cell_cost(
-    analysis: &Result<bomblab_sa::Analysis, CrashDiag>,
-    caps: &bomblab_sa::Capabilities,
-) -> u64 {
-    let Ok(a) = analysis else {
+/// What a study keeps of one case's static analysis. Phase 1 distills it
+/// inside the analyzer's span and containment, so the `Analysis` itself
+/// (CFG, VSA, data-flow tables) is freed there, not after the last cell.
+struct StaticProducts {
+    /// Pruning hints for profiles without data-flow hints.
+    hints: StaticHints,
+    /// The same hints with the data-flow products armed.
+    dataflow_hints: StaticHints,
+    /// Predicted outcome per study profile, in profile order.
+    predictions: Vec<Outcome>,
+    /// The analyzer's one-line summary, for the progress log.
+    summary: String,
+}
+
+impl StaticProducts {
+    fn distill(a: &bomblab_sa::Analysis, capabilities: &[bomblab_sa::Capabilities]) -> Self {
+        let hints = StaticHints::from_analysis(a);
+        StaticProducts {
+            dataflow_hints: hints.clone().with_dataflow(a),
+            hints,
+            predictions: capabilities
+                .iter()
+                .map(|caps| bomblab_sa::predict(&a.facts, caps).into())
+                .collect(),
+            summary: a.summary(),
+        }
+    }
+}
+
+/// Static scheduling estimate for the cell of profile `col`, when the
+/// journal has no history for it. The unit is fictional — only the
+/// *relative* order matters (ties fall back to dataset order), so the
+/// weights just rank how much solver work the predicted outcome implies:
+/// `Es2` cells grind the conflict budget down (crypto functions, covert
+/// propagation — the study's measured tail), predicted solves run the
+/// full concolic loop to detonation, the other failure stages die
+/// progressively earlier.
+fn estimate_cell_cost(products: &Result<StaticProducts, CrashDiag>, col: usize) -> u64 {
+    let Ok(p) = products else {
         // The analyzer itself died on this binary: the engine cells will
         // degrade quickly too.
         return 1;
     };
-    let predicted: Outcome = bomblab_sa::predict(&a.facts, caps).into();
-    match predicted {
+    match p.predictions[col] {
         Outcome::Es2 => 6,
         Outcome::Solved | Outcome::Partial => 5,
         Outcome::Es3 => 4,

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod fnv;
 pub mod json;
 pub mod trace;
 
@@ -221,6 +222,35 @@ impl CellProfile {
             entry.1 += span.ns;
         }
         totals
+    }
+
+    /// Appends a later window observed on the same cell: its spans and
+    /// events follow this profile's in sequence order, its counters add
+    /// and its histograms merge.
+    pub fn append(&mut self, later: CellProfile) {
+        let next = self
+            .spans
+            .iter()
+            .map(|s| s.seq)
+            .chain(self.events.iter().map(|e| e.seq))
+            .max()
+            .map_or(0, |seq| seq + 1);
+        self.spans
+            .extend(later.spans.into_iter().map(|s| SpanRecord {
+                seq: s.seq + next,
+                ..s
+            }));
+        self.events
+            .extend(later.events.into_iter().map(|e| EventRecord {
+                seq: e.seq + next,
+                ..e
+            }));
+        for (name, value) in later.counters {
+            *self.counters.entry(name).or_insert(0) += value;
+        }
+        for (name, hist) in later.hists {
+            self.hists.entry(name).or_default().merge(&hist);
+        }
     }
 }
 

@@ -385,6 +385,20 @@ pub fn validate_lines(text: &str) -> Result<usize, (usize, String)> {
     Ok(checked)
 }
 
+/// The `schema` version a trace file declares on its `study_start` line,
+/// which may be older than [`SCHEMA_VERSION`]: the validator accepts
+/// earlier versions whose lines are still well-formed.
+#[must_use]
+pub fn file_schema(text: &str) -> Option<u64> {
+    text.lines().find_map(|line| {
+        let value = json::parse(line).ok()?;
+        let obj = value.as_obj()?;
+        (obj.get("type")?.as_str()? == "study_start")
+            .then(|| obj.get("schema")?.as_u64())
+            .flatten()
+    })
+}
+
 fn field_json(field: &Field) -> String {
     match field {
         Field::U64(v) => v.to_string(),

@@ -86,16 +86,16 @@ pub struct Dataflow {
 /// capability profiles.
 #[must_use]
 pub fn analyze(exe: &Image, lib: Option<&Image>) -> Analysis {
-    analyze_with(exe, lib, &Capabilities::paper_profiles())
+    analyze_then(exe, lib, |a| a)
 }
 
-/// Analyzes with a caller-chosen set of capability profiles.
-#[must_use]
-pub fn analyze_with(exe: &Image, lib: Option<&Image>, profiles: &[Capabilities]) -> Analysis {
+/// Like [`analyze`], but hands the analysis to `distill` inside the
+/// `sa.analyze` span: a caller that keeps only some products extracts
+/// them, and frees the rest, within the analyzer's own timing.
+pub fn analyze_then<T>(exe: &Image, lib: Option<&Image>, distill: impl FnOnce(Analysis) -> T) -> T {
     let obs_timer = bomblab_obs::start();
-    let analysis = analyze_inner(exe, lib, profiles);
-    if let Some(t0) = obs_timer {
-        bomblab_obs::span_ns("sa.analyze", t0.elapsed().as_nanos() as u64);
+    let analysis = analyze_inner(exe, lib, &Capabilities::paper_profiles());
+    if obs_timer.is_some() {
         bomblab_obs::counter("sa.cfg_blocks", analysis.cfg.blocks.len() as u64);
         bomblab_obs::counter("sa.lints", analysis.lints.len() as u64);
         bomblab_obs::counter("sa.rounds", analysis.rounds as u64);
@@ -108,7 +108,11 @@ pub fn analyze_with(exe: &Image, lib: Option<&Image>, profiles: &[Capabilities])
             analysis.dataflow.taint.tainted_branches.len() as u64,
         );
     }
-    analysis
+    let kept = distill(analysis);
+    if let Some(t0) = obs_timer {
+        bomblab_obs::span_ns("sa.analyze", t0.elapsed().as_nanos() as u64);
+    }
+    kept
 }
 
 #[allow(clippy::too_many_lines, clippy::missing_panics_doc)]

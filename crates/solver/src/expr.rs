@@ -197,6 +197,38 @@ pub enum Node {
     FBits(Term),
 }
 
+impl Node {
+    /// The node's direct children, in field order.
+    pub fn children(&self) -> impl Iterator<Item = &Term> {
+        let kids = match self {
+            Node::BvConst { .. } | Node::BvVar(_) | Node::BoolConst(_) | Node::FConst(_) => {
+                [None, None, None]
+            }
+            Node::BvBin { a, b, .. }
+            | Node::Concat { a, b }
+            | Node::Cmp { a, b, .. }
+            | Node::BAnd(a, b)
+            | Node::BOr(a, b)
+            | Node::FBin { a, b, .. }
+            | Node::FCmp { a, b, .. } => [Some(a), Some(b), None],
+            Node::BvNot(a)
+            | Node::BvNeg(a)
+            | Node::Extract { a, .. }
+            | Node::ZExt { a, .. }
+            | Node::SExt { a, .. }
+            | Node::BNot(a)
+            | Node::FNeg(a)
+            | Node::FSqrt(a)
+            | Node::CvtSiToF(a)
+            | Node::CvtFToSi(a)
+            | Node::FFromBits(a)
+            | Node::FBits(a) => [Some(a), None, None],
+            Node::Ite { cond, then, els } => [Some(cond), Some(then), Some(els)],
+        };
+        kids.into_iter().flatten()
+    }
+}
+
 /// A reference-counted, hash-consed term.
 ///
 /// All construction funnels through a thread-local interner, so within one
@@ -204,12 +236,24 @@ pub enum Node {
 /// equality and hashing are O(1) pointer operations, and DAG-shaped formulas
 /// (crypto traces especially) are stored once instead of re-allocated per
 /// rewrite. `Term` is intentionally `!Send`; terms never cross threads.
+///
+/// The interner also gives every node a structural
+/// [`fingerprint`](Term::fingerprint) and a cached
+/// [`has_float`](Term::has_float) bit, both computed once from the node's
+/// own fields and its children's cached values.
 #[derive(Clone)]
-pub struct Term(Rc<Node>);
+pub struct Term(Rc<Interned>);
+
+/// An interned node with the values derived from it at creation.
+struct Interned {
+    node: Node,
+    fingerprint: u64,
+    has_float: bool,
+}
 
 impl fmt::Debug for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        self.0.node.fmt(f)
     }
 }
 
@@ -290,6 +334,64 @@ fn intern_key(node: &Node) -> InternKey {
     }
 }
 
+/// Folds one word into a running fingerprint. The step is a bijection of
+/// the word for a fixed `h` (rotate-xor, then the splitmix64 finalizer),
+/// so two sequences that differ in one word differ after that step.
+pub(crate) fn fingerprint_fold(h: u64, word: u64) -> u64 {
+    let mut z = (h.rotate_left(5) ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The structural fingerprint and float bit of a new node: its variant
+/// tag, immediates, variable name and children's fingerprints, never a
+/// term id, so every thread of every process computes the same value.
+fn derive(node: &Node) -> (u64, bool) {
+    // Variant tag first, then the immediates in field order.
+    let (tag, imms): (u64, [u64; 2]) = match node {
+        Node::BvConst { value, width } => (0, [*value, u64::from(*width)]),
+        Node::BvVar(v) => (
+            1,
+            [
+                bomblab_obs::fnv::fold_bytes(bomblab_obs::fnv::OFFSET, v.name.as_bytes()),
+                u64::from(v.width),
+            ],
+        ),
+        Node::BvBin { op, .. } => (2, [*op as u64, 0]),
+        Node::BvNot(_) => (3, [0; 2]),
+        Node::BvNeg(_) => (4, [0; 2]),
+        Node::Extract { hi, lo, .. } => (5, [u64::from(*hi), u64::from(*lo)]),
+        Node::ZExt { width, .. } => (6, [u64::from(*width), 0]),
+        Node::SExt { width, .. } => (7, [u64::from(*width), 0]),
+        Node::Concat { .. } => (8, [0; 2]),
+        Node::Cmp { op, .. } => (9, [*op as u64, 0]),
+        Node::BoolConst(b) => (10, [u64::from(*b), 0]),
+        Node::BNot(_) => (11, [0; 2]),
+        Node::BAnd(..) => (12, [0; 2]),
+        Node::BOr(..) => (13, [0; 2]),
+        Node::Ite { .. } => (14, [0; 2]),
+        Node::FConst(v) => (15, [v.to_bits(), 0]),
+        Node::FBin { op, .. } => (16, [*op as u64, 0]),
+        Node::FNeg(_) => (17, [0; 2]),
+        Node::FSqrt(_) => (18, [0; 2]),
+        Node::FCmp { op, .. } => (19, [*op as u64, 0]),
+        Node::CvtSiToF(_) => (20, [0; 2]),
+        Node::CvtFToSi(_) => (21, [0; 2]),
+        Node::FFromBits(_) => (22, [0; 2]),
+        Node::FBits(_) => (23, [0; 2]),
+    };
+    let mut h = fingerprint_fold(0, tag);
+    for w in imms {
+        h = fingerprint_fold(h, w);
+    }
+    for k in node.children() {
+        h = fingerprint_fold(h, k.fingerprint());
+    }
+    // Tags 15 and up are the floating-point variants.
+    (h, tag >= 15 || node.children().any(Term::has_float))
+}
+
 /// Counters describing this thread's term interner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternStats {
@@ -302,14 +404,14 @@ pub struct InternStats {
 }
 
 struct Interner {
-    map: HashMap<InternKey, Weak<Node>>,
+    map: HashMap<InternKey, Weak<Interned>>,
     hits: u64,
     misses: u64,
     sweep_at: usize,
 }
 
 impl Interner {
-    fn intern(&mut self, node: Node) -> Rc<Node> {
+    fn intern(&mut self, node: Node) -> Rc<Interned> {
         let key = intern_key(&node);
         if let Some(weak) = self.map.get(&key) {
             if let Some(rc) = weak.upgrade() {
@@ -318,7 +420,12 @@ impl Interner {
             }
         }
         self.misses += 1;
-        let rc = Rc::new(node);
+        let (fingerprint, has_float) = derive(&node);
+        let rc = Rc::new(Interned {
+            node,
+            fingerprint,
+            has_float,
+        });
         self.map.insert(key, Rc::downgrade(&rc));
         if self.map.len() > self.sweep_at {
             self.map.retain(|_, w| w.strong_count() > 0);
@@ -366,7 +473,14 @@ pub fn to_signed(v: u64, width: u8) -> i64 {
 impl Term {
     /// The underlying node.
     pub fn node(&self) -> &Node {
-        &self.0
+        &self.0.node
+    }
+
+    /// Process-stable 64-bit structural fingerprint: equal for
+    /// structurally equal terms on any thread, unlike [`Term::id`]. O(1);
+    /// computed when the term was interned.
+    pub fn fingerprint(&self) -> u64 {
+        self.0.fingerprint
     }
 
     /// A stable pointer identity for caches.
@@ -849,41 +963,12 @@ impl Term {
             if !visited.insert(t.id()) {
                 continue;
             }
-            match t.node() {
-                Node::BvVar(v) => {
-                    if seen.insert(v.clone()) && !out.contains(v) {
-                        out.push(v.clone());
-                    }
+            if let Node::BvVar(v) = t.node() {
+                if seen.insert(v.clone()) && !out.contains(v) {
+                    out.push(v.clone());
                 }
-                Node::BvBin { a, b, .. }
-                | Node::Concat { a, b }
-                | Node::Cmp { a, b, .. }
-                | Node::FBin { a, b, .. }
-                | Node::FCmp { a, b, .. }
-                | Node::BAnd(a, b)
-                | Node::BOr(a, b) => {
-                    stack.push(a.clone());
-                    stack.push(b.clone());
-                }
-                Node::BvNot(a)
-                | Node::BvNeg(a)
-                | Node::Extract { a, .. }
-                | Node::ZExt { a, .. }
-                | Node::SExt { a, .. }
-                | Node::BNot(a)
-                | Node::FNeg(a)
-                | Node::FSqrt(a)
-                | Node::CvtSiToF(a)
-                | Node::CvtFToSi(a)
-                | Node::FFromBits(a)
-                | Node::FBits(a) => stack.push(a.clone()),
-                Node::Ite { cond, then, els } => {
-                    stack.push(cond.clone());
-                    stack.push(then.clone());
-                    stack.push(els.clone());
-                }
-                Node::BvConst { .. } | Node::BoolConst(_) | Node::FConst(_) => {}
             }
+            stack.extend(t.node().children().cloned());
         }
         // dedupe preserving order (cheap; var counts are small)
         let mut dedup = Vec::new();
@@ -895,54 +980,15 @@ impl Term {
         *out = dedup;
     }
 
-    /// Whether the term contains any floating-point node.
+    /// Whether the term contains any floating-point node. O(1); cached
+    /// when the term was interned.
     pub fn has_float(&self) -> bool {
-        Term::any_has_float([self])
+        self.0.has_float
     }
 
-    /// Whether any of `terms` contains a floating-point node. One walk
-    /// with one visited set, so a subterm shared between terms is
-    /// visited once.
+    /// Whether any of `terms` contains a floating-point node.
     pub fn any_has_float<'a>(terms: impl IntoIterator<Item = &'a Term>) -> bool {
-        let mut stack: Vec<Term> = terms.into_iter().cloned().collect();
-        let mut visited = IdSet::default();
-        while let Some(t) = stack.pop() {
-            if !visited.insert(t.id()) {
-                continue;
-            }
-            match t.node() {
-                Node::FConst(_)
-                | Node::FBin { .. }
-                | Node::FNeg(_)
-                | Node::FSqrt(_)
-                | Node::FCmp { .. }
-                | Node::CvtSiToF(_)
-                | Node::CvtFToSi(_)
-                | Node::FFromBits(_)
-                | Node::FBits(_) => return true,
-                Node::BvBin { a, b, .. }
-                | Node::Concat { a, b }
-                | Node::Cmp { a, b, .. }
-                | Node::BAnd(a, b)
-                | Node::BOr(a, b) => {
-                    stack.push(a.clone());
-                    stack.push(b.clone());
-                }
-                Node::BvNot(a)
-                | Node::BvNeg(a)
-                | Node::Extract { a, .. }
-                | Node::ZExt { a, .. }
-                | Node::SExt { a, .. }
-                | Node::BNot(a) => stack.push(a.clone()),
-                Node::Ite { cond, then, els } => {
-                    stack.push(cond.clone());
-                    stack.push(then.clone());
-                    stack.push(els.clone());
-                }
-                Node::BvConst { .. } | Node::BvVar(_) | Node::BoolConst(_) => {}
-            }
-        }
-        false
+        terms.into_iter().any(Term::has_float)
     }
 
     /// Children-before-parents ordering of the term DAG, computed
@@ -962,37 +1008,7 @@ impl Term {
             if !visited.insert(t.id()) {
                 continue;
             }
-            let mut kids: Vec<Term> = Vec::new();
-            match t.node() {
-                Node::BvBin { a, b, .. }
-                | Node::Concat { a, b }
-                | Node::Cmp { a, b, .. }
-                | Node::FBin { a, b, .. }
-                | Node::FCmp { a, b, .. }
-                | Node::BAnd(a, b)
-                | Node::BOr(a, b) => {
-                    kids.push(a.clone());
-                    kids.push(b.clone());
-                }
-                Node::BvNot(a)
-                | Node::BvNeg(a)
-                | Node::Extract { a, .. }
-                | Node::ZExt { a, .. }
-                | Node::SExt { a, .. }
-                | Node::BNot(a)
-                | Node::FNeg(a)
-                | Node::FSqrt(a)
-                | Node::CvtSiToF(a)
-                | Node::CvtFToSi(a)
-                | Node::FFromBits(a)
-                | Node::FBits(a) => kids.push(a.clone()),
-                Node::Ite { cond, then, els } => {
-                    kids.push(cond.clone());
-                    kids.push(then.clone());
-                    kids.push(els.clone());
-                }
-                Node::BvConst { .. } | Node::BvVar(_) | Node::BoolConst(_) | Node::FConst(_) => {}
-            }
+            let kids: Vec<Term> = t.node().children().cloned().collect();
             stack.push((t, true));
             for k in kids {
                 if !visited.contains(&k.id()) {
@@ -1024,36 +1040,7 @@ impl Term {
             if visited.len() > cap {
                 return visited.len();
             }
-            match t.node() {
-                Node::BvBin { a, b, .. }
-                | Node::Concat { a, b }
-                | Node::Cmp { a, b, .. }
-                | Node::FBin { a, b, .. }
-                | Node::FCmp { a, b, .. }
-                | Node::BAnd(a, b)
-                | Node::BOr(a, b) => {
-                    stack.push(a.clone());
-                    stack.push(b.clone());
-                }
-                Node::BvNot(a)
-                | Node::BvNeg(a)
-                | Node::Extract { a, .. }
-                | Node::ZExt { a, .. }
-                | Node::SExt { a, .. }
-                | Node::BNot(a)
-                | Node::FNeg(a)
-                | Node::FSqrt(a)
-                | Node::CvtSiToF(a)
-                | Node::CvtFToSi(a)
-                | Node::FFromBits(a)
-                | Node::FBits(a) => stack.push(a.clone()),
-                Node::Ite { cond, then, els } => {
-                    stack.push(cond.clone());
-                    stack.push(then.clone());
-                    stack.push(els.clone());
-                }
-                _ => {}
-            }
+            stack.extend(t.node().children().cloned());
         }
         visited.len()
     }
@@ -1701,6 +1688,56 @@ mod tests {
         assert!(f.has_float());
         let env: HashMap<Arc<str>, u64> = [(Arc::from("n"), 3u64)].into_iter().collect();
         assert_eq!(eval(&f, &env).unwrap(), Value::F64(3.0));
+    }
+
+    /// A path-condition-shaped term with a float subterm under a compare.
+    fn mixed_term() -> Term {
+        let x = Term::var("arg1_0", 64);
+        let y = Term::var("arg1_1", 64);
+        let sel = Term::ite(
+            &Term::cmp(CmpOp::Ult, &x, &Term::bv(10, 64)),
+            &Term::bin(BvOp::Add, &x, &y),
+            &Term::f_bits(&Term::cvt_si_to_f(&y)),
+        );
+        Term::cmp(CmpOp::Eq, &Term::extract(&sel, 31, 0), &Term::bv(7, 32))
+    }
+
+    #[test]
+    fn one_term_built_on_two_threads_gets_one_fingerprint() {
+        let here = mixed_term();
+        let there = std::thread::spawn(|| mixed_term().fingerprint())
+            .join()
+            .unwrap();
+        assert_eq!(here.fingerprint(), there);
+        let other = Term::cmp(
+            CmpOp::Eq,
+            &Term::extract(&Term::var("arg1_0", 64), 31, 0),
+            &Term::bv(7, 32),
+        );
+        assert_ne!(here.fingerprint(), other.fingerprint());
+    }
+
+    #[test]
+    fn cached_float_bits_match_a_dag_walk() {
+        let root = mixed_term();
+        for t in root.topo_order() {
+            let walk = t.topo_order().iter().any(|n| {
+                matches!(
+                    n.node(),
+                    Node::FConst(_)
+                        | Node::FBin { .. }
+                        | Node::FNeg(_)
+                        | Node::FSqrt(_)
+                        | Node::FCmp { .. }
+                        | Node::CvtSiToF(_)
+                        | Node::CvtFToSi(_)
+                        | Node::FFromBits(_)
+                        | Node::FBits(_)
+                )
+            });
+            assert_eq!(t.has_float(), walk, "{t:?}");
+        }
+        assert!(root.has_float());
     }
 
     #[test]

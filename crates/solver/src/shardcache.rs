@@ -6,9 +6,11 @@
 //! slices the optimizer carves out (`slice::partition`) repeat *across
 //! cells*, not just across rounds. The per-solver query cache cannot see
 //! that. This store can: one `Arc<ShardCache>` per study, shared by every
-//! worker thread, keyed by [`slice_key`] — FNV-1a over the slice's SMT-LIB
-//! rendering, so keys agree across threads even though hash-consed term
-//! ids do not. The solver renders that key once per cache-missed slice.
+//! worker thread, keyed by [`slice_key`]: an ordered fold over the
+//! structural fingerprints the interner gave the slice's roots
+//! ([`Term::fingerprint`]), so keys agree across threads even though
+//! hash-consed term ids do not. A key costs one step per root, whatever
+//! the size of the DAG below it.
 //!
 //! Concurrency: N-way sharding with one `RwLock` per shard. Lookups take
 //! a read lock on a single shard; stores take a write lock on a single
@@ -31,8 +33,7 @@
 //! lookup must be rejected by verification and the verdicts must not
 //! move (`tests/study_parallel.rs` runs a study slice through one).
 
-use crate::expr::Term;
-use crate::smtlib;
+use crate::expr::{fingerprint_fold, Term};
 use crate::Model;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,17 +44,13 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// idle-memory cost of the empty cache trivial.
 pub const NUM_SHARDS: usize = 8;
 
-/// Process-stable store key: FNV-1a over the SMT-LIB rendering of the
-/// slice. Unlike [`Term::id`] (an interner address, unique only within one
-/// thread of one process), the rendering agrees across threads.
+/// Process-stable store key: the slice's root fingerprints folded in
+/// order. Unlike [`Term::id`] (an interner address, unique only within one
+/// thread of one process), a fingerprint agrees across threads.
 pub fn slice_key(terms: &[Term]) -> u64 {
-    let text = smtlib::to_smtlib(terms);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    terms.iter().fold(terms.len() as u64, |h, t| {
+        fingerprint_fold(h, t.fingerprint())
+    })
 }
 
 /// One stored model: the slice's variable bindings in sorted order.
@@ -214,6 +211,23 @@ mod tests {
             slice_key(std::slice::from_ref(&c1))
         );
         assert_ne!(slice_key(&[c1]), slice_key(&[c2]));
+    }
+
+    #[test]
+    fn a_key_over_a_tree_of_2_pow_40_nodes_returns_at_once() {
+        // Each level uses the one below twice: 2^40 nodes as a tree, 121
+        // as a DAG. Rendering it would never finish; a key is O(roots).
+        let x = Term::var("x", 32);
+        let mut t = Term::bin(BvOp::Add, &x, &Term::bv(1, 32));
+        for i in 0..40 {
+            let c = Term::cmp(CmpOp::Ult, &t, &Term::bv(i, 32));
+            t = Term::ite(&c, &t, &Term::bin(BvOp::Xor, &t, &x));
+        }
+        let root = Term::cmp(CmpOp::Eq, &t, &Term::bv(5, 32));
+        let start = std::time::Instant::now();
+        let key = slice_key(std::slice::from_ref(&root));
+        assert!(start.elapsed() < std::time::Duration::from_millis(100));
+        assert_eq!(key, slice_key(&[root]));
     }
 
     #[test]

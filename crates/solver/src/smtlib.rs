@@ -6,14 +6,15 @@
 //! to an external solver for cross-checking.
 
 use crate::expr::{BvOp, CmpOp, FCmpOp, FOp, Node, Term, Var};
-use std::collections::HashMap;
+use crate::idhash::IdMap;
 use std::fmt::Write as _;
 
 /// Renders `constraints` as a complete SMT-LIB 2 script (`QF_BV` when no
 /// floating-point terms appear, `QF_BVFP`-flavoured otherwise).
 ///
-/// Shared subterms are bound with `let` so the output stays linear in the
-/// DAG size.
+/// Within each assertion, a non-leaf subterm used more than once is bound
+/// once with `let` and referred to by name, so an assertion's text stays
+/// linear in the size of its DAG.
 pub fn to_smtlib(constraints: &[Term]) -> String {
     let mut out = String::new();
     let has_float = Term::any_has_float(constraints);
@@ -30,31 +31,55 @@ pub fn to_smtlib(constraints: &[Term]) -> String {
     for v in &vars {
         let _ = writeln!(out, "(declare-const {} (_ BitVec {}))", v.name, v.width);
     }
-    let mut printer = Printer {
-        memo: HashMap::new(),
-    };
     for c in constraints {
-        let rendered = printer.print(c);
-        let _ = writeln!(out, "(assert {rendered})");
+        let _ = writeln!(out, "(assert {})", print_shared(c));
     }
     let _ = writeln!(out, "(check-sat)");
     let _ = writeln!(out, "(get-model)");
     out
 }
 
+/// Renders one assertion, binding every shared non-leaf subterm with a
+/// nested `let` in children-before-parents order.
+fn print_shared(root: &Term) -> String {
+    let order = root.topo_order();
+    let mut uses: IdMap<usize, u32> = IdMap::default();
+    for c in order.iter().flat_map(|t| t.node().children()) {
+        *uses.entry(c.id()).or_default() += 1;
+    }
+    let mut printer = Printer {
+        names: IdMap::default(),
+    };
+    let mut out = String::new();
+    let mut lets = 0;
+    for t in &order {
+        let leaf = matches!(
+            t.node(),
+            Node::BvConst { .. } | Node::BvVar(_) | Node::BoolConst(_) | Node::FConst(_)
+        );
+        if !leaf && uses.get(&t.id()).copied().unwrap_or(0) > 1 {
+            let name = format!("?t{lets}");
+            let _ = write!(out, "(let (({name} {})) ", printer.print(t));
+            printer.names.insert(t.id(), name);
+            lets += 1;
+        }
+    }
+    out.push_str(&printer.print(root));
+    out.extend(std::iter::repeat_n(')', lets));
+    out
+}
+
 struct Printer {
-    /// Term id → rendered string (memoized; DAG-safe).
-    memo: HashMap<usize, String>,
+    /// Term id → the `let` name bound to it.
+    names: IdMap<usize, String>,
 }
 
 impl Printer {
     fn print(&mut self, t: &Term) -> String {
-        if let Some(s) = self.memo.get(&t.id()) {
-            return s.clone();
+        match self.names.get(&t.id()) {
+            Some(name) => name.clone(),
+            None => self.print_inner(t),
         }
-        let s = self.print_inner(t);
-        self.memo.insert(t.id(), s.clone());
-        s
     }
 
     fn print_inner(&mut self, t: &Term) -> String {
@@ -115,7 +140,11 @@ impl Printer {
                 self.print(then),
                 self.print(els)
             ),
-            Node::FConst(v) => format!("((_ to_fp 11 53) roundNearestTiesToEven {v})"),
+            Node::FConst(v) if v.is_finite() => {
+                format!("((_ to_fp 11 53) roundNearestTiesToEven {v})")
+            }
+            // Infinities and NaNs have no decimal form: give their bits.
+            Node::FConst(v) => format!("((_ to_fp 11 53) (_ bv{} 64))", v.to_bits()),
             Node::FBin { op, a, b } => {
                 let name = match op {
                     FOp::Add => "fp.add",
@@ -195,6 +224,26 @@ mod tests {
         assert!(script.contains("QF_BVFP"));
         assert!(script.contains("fp.lt"));
         assert!(script.contains("to_fp"));
+    }
+
+    #[test]
+    fn a_shared_ite_chain_renders_in_linear_size() {
+        // Every level uses the one below twice, so the tree has 2^64
+        // leaves; the script must grow by a constant per level.
+        let x = Term::var("x", 32);
+        let chain = |depth: u32| {
+            let mut t = Term::bin(BvOp::Mul, &x, &Term::bv(3, 32));
+            for i in 0..depth {
+                let c = Term::cmp(CmpOp::Ult, &t, &Term::bv(u64::from(i), 32));
+                t = Term::ite(&c, &t, &Term::bin(BvOp::Add, &t, &Term::bv(1, 32)));
+            }
+            Term::cmp(CmpOp::Eq, &t, &Term::bv(0, 32))
+        };
+        let (short, long) = (to_smtlib(&[chain(32)]), to_smtlib(&[chain(64)]));
+        let per_level = (long.len() - short.len()) / 32;
+        assert!(per_level < 200, "{per_level} bytes per level");
+        assert!(long.len() < 64 * 200, "{} bytes", long.len());
+        assert!(long.contains("(let ((?t0 (bvmul x (_ bv3 32))))"));
     }
 
     #[test]

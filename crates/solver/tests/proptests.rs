@@ -2,6 +2,7 @@
 //! bit-blast/eval agreement, and model validity.
 
 use bomblab_solver::expr::{eval, BvOp, CmpOp, FOp, Node, Term, Value};
+use bomblab_solver::smtlib::to_smtlib;
 use bomblab_solver::{SolveOutcome, Solver};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -94,6 +95,16 @@ fn arb_step() -> impl Strategy<Value = Step> {
 /// Runs `steps` over the leaves `x`, `y` and a constant, then picks
 /// comparisons of the built terms as roots.
 fn build_dag(steps: &[Step], roots: &[(usize, usize)]) -> Vec<Term> {
+    let pool = build_pool(steps);
+    roots
+        .iter()
+        .map(|&(a, b)| Term::cmp(CmpOp::Eq, &pool[a % pool.len()], &pool[b % pool.len()]))
+        .collect()
+}
+
+/// Every term `steps` builds over the leaves `x`, `y` and a constant, the
+/// leaves included.
+fn build_pool(steps: &[Step]) -> Vec<Term> {
     let mut pool = vec![Term::var("x", 64), Term::var("y", 64), Term::bv(7, 64)];
     for step in steps {
         let at = |i: usize| pool[i % pool.len()].clone();
@@ -115,10 +126,7 @@ fn build_dag(steps: &[Step], roots: &[(usize, usize)]) -> Vec<Term> {
         };
         pool.push(t);
     }
-    roots
-        .iter()
-        .map(|&(a, b)| Term::cmp(CmpOp::Eq, &pool[a % pool.len()], &pool[b % pool.len()]))
-        .collect()
+    pool
 }
 
 /// Reference float check over `topo_order`, a walker of its own.
@@ -317,6 +325,29 @@ proptest! {
         let any = Term::any_has_float(&terms);
         prop_assert_eq!(any, terms.iter().any(Term::has_float));
         prop_assert_eq!(any, terms.iter().any(has_float_by_topo_order));
+    }
+
+    /// Two terms have equal fingerprints exactly when they render to the
+    /// same SMT-LIB text. The two programs share a prefix, so the pools
+    /// hold equal terms built along different routes as well as
+    /// different ones.
+    #[test]
+    fn fingerprints_agree_with_smtlib_renders(
+        shared in proptest::collection::vec(arb_step(), 0..12),
+        left in proptest::collection::vec(arb_step(), 0..8),
+        right in proptest::collection::vec(arb_step(), 0..8),
+    ) {
+        let pool = |tail: &[Step]| {
+            let steps: Vec<Step> = shared.iter().chain(tail).cloned().collect();
+            build_pool(&steps)
+        };
+        let (a, b) = (pool(&left), pool(&right));
+        for s in &a {
+            for t in &b {
+                let same_text = to_smtlib(std::slice::from_ref(s)) == to_smtlib(std::slice::from_ref(t));
+                prop_assert_eq!(s.fingerprint() == t.fingerprint(), same_text);
+            }
+        }
     }
 
     /// `extract`/`concat`/extensions respect the evaluator on random data.

@@ -144,7 +144,6 @@ struct Inner {
 #[derive(Debug)]
 pub struct BlockCache {
     regions: Vec<Region>,
-    hash: u64,
     inner: Mutex<Inner>,
 }
 
@@ -153,31 +152,19 @@ pub struct BlockCache {
 /// cache.
 static REGISTRY: OnceLock<Mutex<Vec<Arc<BlockCache>>>> = OnceLock::new();
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-}
-
 impl BlockCache {
     /// Returns the shared cache for `regions` (pairs of base address and
     /// code bytes), creating it on first sight. Two calls with identical
-    /// content return the same `Arc`.
+    /// content return the same `Arc`. Lookup compares the bytes directly
+    /// (a length check, then `memcmp`), which costs less than hashing
+    /// them would.
     pub fn for_regions(regions: &[(u64, &[u8])]) -> Arc<BlockCache> {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for (base, bytes) in regions {
-            fnv1a(&mut hash, &base.to_le_bytes());
-            fnv1a(&mut hash, &(bytes.len() as u64).to_le_bytes());
-            fnv1a(&mut hash, bytes);
-        }
         let registry = REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
         let mut registry = registry
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         for cached in registry.iter() {
-            if cached.hash == hash
-                && cached.regions.len() == regions.len()
+            if cached.regions.len() == regions.len()
                 && cached
                     .regions
                     .iter()
@@ -195,7 +182,6 @@ impl BlockCache {
                     bytes: bytes.to_vec(),
                 })
                 .collect(),
-            hash,
             inner: Mutex::new(Inner {
                 blocks: Vec::new(),
                 ranges: Vec::new(),

@@ -53,8 +53,7 @@ pub struct MachineConfig {
     pub sparse_taint: Option<Vec<(u64, u64)>>,
     /// Dispatch through the shared predecoded basic-block cache
     /// ([`crate::bbcache`]). Disable for A/B runs against the
-    /// decode-per-step path; the `BOMBLAB_NO_BBCACHE` environment
-    /// variable overrides this to `false` at load time.
+    /// decode-per-step path (`bomblab study --no-bbcache`).
     pub bbcache: bool,
 }
 
@@ -322,13 +321,28 @@ impl Machine {
         lib: Option<&Image>,
         config: MachineConfig,
     ) -> Result<Machine, LoadError> {
-        let mut image = image.clone();
-        if !image.imports.is_empty() {
-            match lib {
-                Some(l) => image.resolve_imports(&l.symbols)?,
-                None => return Err(LoadError::MissingLibrary(image.imports[0].symbol.clone())),
-            }
-        }
+        // Patch imports into a copy of the segments only; the symbol map
+        // is not needed to run.
+        let patched;
+        let image = if image.imports.is_empty() {
+            image
+        } else {
+            let Some(l) = lib else {
+                return Err(LoadError::MissingLibrary(image.imports[0].symbol.clone()));
+            };
+            let mut copy = Image {
+                entry: image.entry,
+                text_base: image.text_base,
+                text: image.text.clone(),
+                data_base: image.data_base,
+                data: image.data.clone(),
+                symbols: BTreeMap::new(),
+                imports: image.imports.clone(),
+            };
+            copy.resolve_imports(&l.symbols)?;
+            patched = copy;
+            &patched
+        };
 
         let mut mem = Memory::new();
         mem.map(image.text_base, image.text.len().max(1) as u64);
@@ -413,8 +427,7 @@ impl Machine {
         // The block cache keys on the *resolved* text bytes, so every
         // round of every profile loading the same image (same imports,
         // same library) shares one lazily decoded cache.
-        let use_cache = config.bbcache && std::env::var_os("BOMBLAB_NO_BBCACHE").is_none();
-        let bbcache = use_cache.then(|| {
+        let bbcache = config.bbcache.then(|| {
             let mut regions: Vec<(u64, &[u8])> = vec![(image.text_base, image.text.as_slice())];
             if let Some(l) = lib {
                 regions.push((l.text_base, l.text.as_slice()));

@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Page size in bytes.
 pub const PAGE_SIZE: u64 = 4096;
@@ -24,14 +25,28 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// One page of bytes.
+type Page = [u8; PAGE_SIZE as usize];
+
+/// What every mapped page holds until its first write.
+static ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
+
 /// Sparse paged memory.
 ///
 /// Pages must be [`map`](Memory::map)ped before use; reads and writes to
-/// unmapped pages return [`MemFault`]. `Clone` performs a deep copy, which
-/// is how `fork` duplicates an address space.
+/// unmapped pages return [`MemFault`]. Mapping records a range and
+/// allocates nothing: a mapped page reads as [`ZERO_PAGE`] until its
+/// first write gives it storage of its own. Written pages are
+/// copy-on-write, so `Clone` shares them until either copy writes one;
+/// `Clone` is still a logical deep copy, which is how `fork` duplicates an
+/// address space.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    /// Mapped page-number ranges `[first, last]`, sorted, disjoint and
+    /// not adjacent.
+    mapped: Vec<(u64, u64)>,
+    /// Every mapped page written so far.
+    pages: BTreeMap<u64, Arc<Page>>,
 }
 
 impl Memory {
@@ -47,13 +62,23 @@ impl Memory {
         if len == 0 {
             return;
         }
-        let first = base / PAGE_SIZE;
-        let last = (base + len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            self.pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-        }
+        let (mut first, mut last) = (base / PAGE_SIZE, (base + len - 1) / PAGE_SIZE);
+        // Absorb every range the new one overlaps or touches.
+        self.mapped.retain(|&(a, b)| {
+            let touches = a <= last.saturating_add(1) && first <= b.saturating_add(1);
+            if touches {
+                (first, last) = (first.min(a), last.max(b));
+            }
+            !touches
+        });
+        let at = self.mapped.partition_point(|&(a, _)| a < first);
+        self.mapped.insert(at, (first, last));
+    }
+
+    /// The mapped range holding page number `page`, if any.
+    fn range_of(&self, page: u64) -> Option<(u64, u64)> {
+        let at = self.mapped.partition_point(|&(_, b)| b < page);
+        self.mapped.get(at).copied().filter(|&(a, _)| a <= page)
     }
 
     /// Whether every byte of `[addr, addr + len)` is mapped.
@@ -61,11 +86,36 @@ impl Memory {
         if len == 0 {
             return true;
         }
-        let first = addr / PAGE_SIZE;
         let Some(end) = addr.checked_add(len - 1) else {
             return false;
         };
-        (first..=end / PAGE_SIZE).all(|p| self.pages.contains_key(&p))
+        self.range_of(addr / PAGE_SIZE)
+            .is_some_and(|(_, last)| end / PAGE_SIZE <= last)
+    }
+
+    /// The page holding `addr`.
+    fn page(&self, addr: u64) -> Result<&Page, MemFault> {
+        let page = addr / PAGE_SIZE;
+        match self.pages.get(&page) {
+            Some(p) => Ok(p),
+            None if self.range_of(page).is_some() => Ok(&ZERO_PAGE),
+            None => Err(MemFault { addr }),
+        }
+    }
+
+    /// The page holding `addr`, given storage on its first write and
+    /// unshared first if a clone still refers to it.
+    fn page_mut(&mut self, addr: u64) -> Result<&mut Page, MemFault> {
+        let page = addr / PAGE_SIZE;
+        if !self.pages.contains_key(&page) {
+            if self.range_of(page).is_none() {
+                return Err(MemFault { addr });
+            }
+            self.pages.insert(page, Arc::new(ZERO_PAGE));
+        }
+        Ok(Arc::make_mut(
+            self.pages.get_mut(&page).expect("inserted above"),
+        ))
     }
 
     /// Reads one byte.
@@ -74,11 +124,7 @@ impl Memory {
     ///
     /// Faults if the address is unmapped.
     pub fn read_u8(&self, addr: u64) -> Result<u8, MemFault> {
-        let page = self
-            .pages
-            .get(&(addr / PAGE_SIZE))
-            .ok_or(MemFault { addr })?;
-        Ok(page[(addr % PAGE_SIZE) as usize])
+        Ok(self.page(addr)?[(addr % PAGE_SIZE) as usize])
     }
 
     /// Writes one byte.
@@ -87,11 +133,7 @@ impl Memory {
     ///
     /// Faults if the address is unmapped.
     pub fn write_u8(&mut self, addr: u64, val: u8) -> Result<(), MemFault> {
-        let page = self
-            .pages
-            .get_mut(&(addr / PAGE_SIZE))
-            .ok_or(MemFault { addr })?;
-        page[(addr % PAGE_SIZE) as usize] = val;
+        self.page_mut(addr)?[(addr % PAGE_SIZE) as usize] = val;
         Ok(())
     }
 
@@ -124,10 +166,7 @@ impl Memory {
     /// Panics if `width` is not 1, 2, 4 or 8.
     pub fn write_uint(&mut self, addr: u64, val: u64, width: u8) -> Result<(), MemFault> {
         assert!(matches!(width, 1 | 2 | 4 | 8), "bad access width {width}");
-        for i in 0..width as u64 {
-            self.write_u8(addr.wrapping_add(i), (val >> (8 * i)) as u8)?;
-        }
-        Ok(())
+        self.write_bytes(addr, &val.to_le_bytes()[..width as usize])
     }
 
     /// Reads `len` bytes.
@@ -143,14 +182,19 @@ impl Memory {
         Ok(out)
     }
 
-    /// Writes all of `bytes` starting at `addr`.
+    /// Writes all of `bytes` starting at `addr`, one page at a time. A
+    /// fault leaves the bytes before the first unmapped page written.
     ///
     /// # Errors
     ///
     /// Faults if any byte is unmapped.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b)?;
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) -> Result<(), MemFault> {
+        while !bytes.is_empty() {
+            let off = (addr % PAGE_SIZE) as usize;
+            let n = bytes.len().min(PAGE_SIZE as usize - off);
+            self.page_mut(addr)?[off..off + n].copy_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+            addr = addr.wrapping_add(n as u64);
         }
         Ok(())
     }
@@ -175,7 +219,7 @@ impl Memory {
 
     /// Number of mapped pages (for tests and diagnostics).
     pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
+        self.mapped.iter().map(|&(a, b)| (b - a + 1) as usize).sum()
     }
 }
 
@@ -254,6 +298,50 @@ mod tests {
         b.write_u8(0, 2).unwrap();
         assert_eq!(a.read_u8(0).unwrap(), 1);
         assert_eq!(b.read_u8(0).unwrap(), 2);
+    }
+
+    #[test]
+    fn a_clone_and_its_source_are_isolated_both_ways() {
+        let mut a = Memory::new();
+        a.map(0, 3 * PAGE_SIZE);
+        a.write_bytes(PAGE_SIZE - 2, &[1, 2, 3, 4]).unwrap();
+        let mut b = a.clone();
+        // The source writes after the clone: the clone keeps the old bytes.
+        a.write_u8(PAGE_SIZE, 9).unwrap();
+        assert_eq!(b.read_u8(PAGE_SIZE).unwrap(), 3);
+        // The clone writes: the source keeps its bytes, on a page neither
+        // had written before as well.
+        b.write_uint(PAGE_SIZE - 1, 0x0807, 2).unwrap();
+        b.write_u8(2 * PAGE_SIZE + 5, 6).unwrap();
+        assert_eq!(a.read_bytes(PAGE_SIZE - 2, 4).unwrap(), [1, 2, 9, 4]);
+        assert_eq!(a.read_u8(2 * PAGE_SIZE + 5).unwrap(), 0);
+        assert_eq!(b.read_bytes(PAGE_SIZE - 2, 4).unwrap(), [1, 7, 8, 4]);
+        assert_eq!(b.read_u8(2 * PAGE_SIZE + 5).unwrap(), 6);
+    }
+
+    #[test]
+    fn an_untouched_mapped_page_reads_zero() {
+        let mut m = Memory::new();
+        m.map(0x10_0000, 1 << 20);
+        assert_eq!(m.mapped_pages(), 256);
+        assert!(m.is_mapped(0x10_0000, 1 << 20));
+        assert_eq!(m.read_uint(0x10_0000 + 4093, 8).unwrap(), 0);
+        assert_eq!(m.read_cstr(0x18_0000, 16).unwrap(), b"");
+        // A write to one page leaves the others shared and zero.
+        m.write_u8(0x10_0000, 1).unwrap();
+        assert_eq!(m.read_u8(0x10_1000).unwrap(), 0);
+        assert_eq!(m.mapped_pages(), 256);
+    }
+
+    #[test]
+    fn a_write_across_an_unmapped_page_faults_after_the_mapped_part() {
+        let mut m = Memory::new();
+        m.map(0, PAGE_SIZE);
+        assert_eq!(
+            m.write_bytes(PAGE_SIZE - 2, &[1, 2, 3]),
+            Err(MemFault { addr: PAGE_SIZE })
+        );
+        assert_eq!(m.read_bytes(PAGE_SIZE - 2, 2).unwrap(), [1, 2]);
     }
 
     #[test]

@@ -233,6 +233,43 @@ fn fork_returns_zero_in_child_and_pid_in_parent() {
 }
 
 #[test]
+fn forked_address_spaces_do_not_see_each_others_writes() {
+    // After the fork both processes write the shared cell (initially 4).
+    // The child exits with the value it read before its own write; the
+    // parent exits with that status plus the cell as it sees it after the
+    // child is gone: 4 + 100 only if neither write leaked.
+    let (status, _) = run(r#"
+        .data
+    cell: .quad 4
+        .text
+        .global _start
+    _start:
+        li sv, 8             # fork
+        sys
+        beq a0, r0, child
+        li t0, cell
+        li t1, 100
+        sd [t0], t1
+        li sv, 9             # waitpid(child)
+        sys
+        li t0, cell
+        ld t1, [t0]
+        add a0, a0, t1
+        li sv, 0
+        sys
+    child:
+        li t0, cell
+        ld s1, [t0]
+        li t1, 7
+        sd [t0], t1
+        mov a0, s1
+        li sv, 0
+        sys
+        "#);
+    assert_eq!(status, RunStatus::Exited(104));
+}
+
+#[test]
 fn pipe_carries_bytes_between_processes() {
     // Parent forks; child writes a byte into the pipe and exits; parent
     // reads it (blocking until available) and exits with it.

@@ -14,6 +14,7 @@
 //! bomblab study [prefix] [--jobs N|auto] [--trace out.jsonl]
 //!               [--checkpoint dir] [--resume] [--retries N]
 //!               [--tools paper|omniscient] [--no-shared-cache]
+//!               [--sparse-trace] [--no-bbcache]
 //!                                       run the Table-II study (durably)
 //! bomblab chaos [prefix] [--seed N] [--faults K] [--io-faults K] [--sweeps M]
 //!               [--jobs N|auto] [--retries N] [--checkpoint dir]
@@ -663,6 +664,16 @@ fn cmd_study(args: &[String]) -> CmdResult {
         alias: None,
         takes_value: true,
     };
+    const SPARSE_TRACE: FlagSpec = FlagSpec {
+        name: "--sparse-trace",
+        alias: None,
+        takes_value: false,
+    };
+    const NO_BBCACHE: FlagSpec = FlagSpec {
+        name: "--no-bbcache",
+        alias: None,
+        takes_value: false,
+    };
     let (pos, flags) = parse_flags(
         "study",
         args,
@@ -674,6 +685,8 @@ fn cmd_study(args: &[String]) -> CmdResult {
             RETRIES,
             NO_SHARED_CACHE,
             TOOLS,
+            SPARSE_TRACE,
+            NO_BBCACHE,
         ],
         1,
     )?;
@@ -713,6 +726,8 @@ fn cmd_study(args: &[String]) -> CmdResult {
         checkpoint: flags.get("--checkpoint").map(std::path::PathBuf::from),
         resume: flags.contains_key("--resume"),
         shared_cache: !flags.contains_key("--no-shared-cache"),
+        sparse_trace: flags.contains_key("--sparse-trace"),
+        bbcache: !flags.contains_key("--no-bbcache"),
         ..StudyOptions::default()
     };
     let report = run_study_with(&cases, &profiles, &options);
@@ -845,8 +860,10 @@ fn cmd_tracecheck(args: &[String]) -> CmdResult {
     let text = std::fs::read_to_string(path)?;
     match bomblab::obs::trace::validate_lines(&text) {
         Ok(checked) => {
-            let version = bomblab::obs::trace::SCHEMA_VERSION;
-            println!("{path}: {checked} lines OK (schema v{version})");
+            match bomblab::obs::trace::file_schema(&text) {
+                Some(version) => println!("{path}: {checked} lines OK (schema v{version})"),
+                None => println!("{path}: {checked} lines OK (no study_start line)"),
+            }
             Ok(ExitCode::SUCCESS)
         }
         Err((line, why)) => {

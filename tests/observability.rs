@@ -244,3 +244,25 @@ fn a_solved_attempt_renders_a_valid_cell_line() {
     assert_eq!(counters, nonzero_counters(&attempt.evidence));
     assert!(counters.contains_key("vm_steps") && counters.contains_key("queries"));
 }
+
+#[test]
+fn tracecheck_reports_the_schema_the_file_declares() {
+    // A v5 trace (no `counters` object) still validates; the CLI must name
+    // its own version, not the validator's.
+    let path = std::env::temp_dir().join(format!("bomblab-v5-{}.jsonl", std::process::id()));
+    std::fs::write(
+        &path,
+        "{\"type\":\"study_start\",\"schema\":5,\"bombs\":1,\"profiles\":[\"BAP\"]}\n",
+    )
+    .expect("write trace");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bomblab"))
+        .arg("tracecheck")
+        .arg(&path)
+        .output()
+        .expect("run bomblab");
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("1 lines OK (schema v5)"), "{stdout}");
+    assert_eq!(obs::trace::file_schema("{\"type\":\"span\"}\n"), None);
+}
