@@ -187,20 +187,18 @@ pub struct Evidence {
     pub sat_queries: u32,
     /// Concrete rounds executed.
     pub rounds: u32,
-    /// Queries answered from the solver's cross-round cache without
-    /// touching the SAT core (exact + model-reuse + unsat-subset hits).
+    /// Slices answered from the solver's cross-round cache without
+    /// touching the SAT core (exact + model-reuse hits).
     pub cache_hits: u64,
-    /// Queries that missed every cache layer and were solved from scratch.
+    /// Slices that missed every cache layer and were solved from scratch.
     pub cache_misses: u64,
     /// Cache hits answered by replaying an identical constraint set.
     pub cache_exact_hits: u64,
     /// Cache hits answered by re-validating a previously found model.
     pub cache_model_hits: u64,
-    /// Cache hits answered by unsat-core subset subsumption.
-    pub cache_unsat_hits: u64,
     /// Constraint roots bit-blasted into fresh CNF.
     pub roots_blasted: u64,
-    /// Constraint roots reused from the incremental blasting session.
+    /// Constraint roots reused from the blasting session.
     pub roots_reused: u64,
     /// Wall-clock nanoseconds in concrete execution (VM) per attempt.
     pub vm_ns: u64,
@@ -292,7 +290,7 @@ pub struct Evidence {
 
 /// The numeric telemetry of one attempt as `(trace name, value)` pairs;
 /// see [`Evidence::counters`].
-pub type Counters = [(&'static str, u64); 42];
+pub type Counters = [(&'static str, u64); 41];
 
 impl Evidence {
     /// Every numeric telemetry counter, once, under its trace name. Trace
@@ -319,7 +317,6 @@ impl Evidence {
             ("cache_misses", self.cache_misses),
             ("cache_exact_hits", self.cache_exact_hits),
             ("cache_model_hits", self.cache_model_hits),
-            ("cache_unsat_hits", self.cache_unsat_hits),
             ("roots_blasted", self.roots_blasted),
             ("roots_reused", self.roots_reused),
             ("shared_cache_hits", self.shared_cache_hits),
@@ -995,6 +992,12 @@ impl Engine {
                 evidence.shared_cache_hits += qstats.shared_cache_hits;
                 evidence.shared_cache_stores += qstats.shared_cache_stores;
                 evidence.shared_cache_rejected += qstats.shared_cache_rejected;
+                evidence.cache_hits += qstats.exact_hits + qstats.model_hits;
+                evidence.cache_exact_hits += qstats.exact_hits;
+                evidence.cache_model_hits += qstats.model_hits;
+                evidence.cache_misses += qstats.misses;
+                evidence.roots_blasted += qstats.roots_blasted;
+                evidence.roots_reused += qstats.roots_reused;
                 let outcome = match result {
                     Ok(out) => out,
                     Err(e) => {
@@ -1053,15 +1056,6 @@ impl Engine {
                 break 'rounds;
             }
         }
-
-        let cache = solver.cache_stats();
-        evidence.cache_hits = cache.hits();
-        evidence.cache_misses = cache.misses;
-        evidence.cache_exact_hits = cache.exact_hits;
-        evidence.cache_model_hits = cache.model_hits;
-        evidence.cache_unsat_hits = cache.unsat_subset_hits;
-        evidence.roots_blasted = cache.roots_blasted;
-        evidence.roots_reused = cache.roots_reused;
 
         // Injected faults corrupt the attempt wholesale: even a run that
         // stumbled onto the trigger is not a trustworthy solve once the

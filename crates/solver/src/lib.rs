@@ -227,56 +227,38 @@ pub struct SolveStats {
     /// Shared-store models rejected by read-through verification on this
     /// query (stale or corrupt entries; never answered from).
     pub shared_cache_rejected: u64,
-}
-
-/// Cumulative cross-round cache counters for one [`Solver`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries whose exact constraint set was seen before (outcome replayed).
+    /// Slices (float queries: whole queries) answered by replaying the
+    /// recorded outcome of an identical earlier slice.
     pub exact_hits: u64,
-    /// Queries answered by re-validating a previously found model.
+    /// Slices answered by re-validating a model found by an earlier query.
     pub model_hits: u64,
-    /// Queries subsumed by a cached unsat core (a known-unsat subset).
-    pub unsat_subset_hits: u64,
-    /// Queries that had to run the solving pipeline.
+    /// Slices that missed the per-solver layers and the shared store and
+    /// went on to the witness stage and CDCL.
     pub misses: u64,
-    /// Constraints Tseitin-encoded by the incremental session.
+    /// Constraint roots Tseitin-encoded by the blasting session on this
+    /// query.
     pub roots_blasted: u64,
-    /// Constraint CNF lookups served from the session cache (prefix reuse).
+    /// Constraint roots served from the blasting session's CNF on this
+    /// query (prefix reuse).
     pub roots_reused: u64,
-}
-
-impl CacheStats {
-    /// Total queries answered without running the solving pipeline.
-    pub fn hits(&self) -> u64 {
-        self.exact_hits + self.model_hits + self.unsat_subset_hits
-    }
 }
 
 /// How many cached models a query tries to re-validate before solving.
 const MODEL_REUSE_TRIES: usize = 32;
 /// How many recent models the cache retains.
 const MODEL_CACHE_CAP: usize = 64;
-/// How many unsat cores the cache retains for subset checks.
-const UNSAT_CORE_CAP: usize = 256;
 
 /// Mutable cross-query state behind the immutable `check(&self)` interface.
 #[derive(Debug, Default)]
 struct SolverState {
     /// Incremental blasting session shared by all bitvector queries.
     session: Option<bitblast::Session>,
-    /// Canonical constraint-set fingerprint (sorted, deduped hash-consed
-    /// term ids) → outcome of a previous identical query.
-    exact: HashMap<Vec<usize>, SolveOutcome>,
+    /// A slice's constraint set (hash-consed terms, sorted by id and
+    /// deduped; see [`query_key`]) → its recorded outcome. The key holds
+    /// its own terms, so their ids cannot be reused while the entry lives.
+    exact: HashMap<Vec<Term>, SolveOutcome>,
     /// Recent satisfying models, newest last, for cross-query model reuse.
     models: Vec<Model>,
-    /// Constraint-id sets proven unsatisfiable (sorted); any superset query
-    /// is unsat too.
-    unsat_cores: Vec<Vec<usize>>,
-    /// Pins terms whose ids appear in cache keys but which the blasting
-    /// session does not retain (float-path queries), so those ids can never
-    /// be reused by later allocations.
-    pinned: Vec<Term>,
 }
 
 /// The solver front-end.
@@ -284,22 +266,20 @@ struct SolverState {
 /// A `Solver` is cheap to create but *profits from living long*: it keeps an
 /// incremental bit-blasting session (CNF and learnt clauses persist across
 /// queries, constraint prefixes are blasted once) and a cross-round query
-/// cache (exact outcome replay, model reuse, and unsat-core subsumption).
-/// The concolic engine therefore creates one solver per exploration, not one
-/// per round. Disable the cache layer with
-/// [`with_query_cache(false)`](Solver::with_query_cache).
+/// cache with two layers per slice: exact outcome replay and model reuse.
+/// The concolic engine gives incremental profiles one solver per
+/// exploration, not one per round. Every counter is per query, in
+/// [`stats`](Solver::stats).
 #[derive(Debug, Default)]
 pub struct Solver {
     budget: SolverBudget,
     float_mode: FloatMode,
-    no_query_cache: bool,
     no_simplify: bool,
     no_slice: bool,
     /// Shared in-process model store ([`ShardCache`]), when attached:
     /// cross-cell reuse between the study's worker threads.
     shared: Option<Arc<shardcache::ShardCache>>,
     stats: std::cell::Cell<SolveStats>,
-    cache_stats: std::cell::Cell<CacheStats>,
     state: std::cell::RefCell<SolverState>,
 }
 
@@ -318,13 +298,6 @@ impl Solver {
     /// Overrides floating-point handling.
     pub fn with_float_mode(mut self, mode: FloatMode) -> Solver {
         self.float_mode = mode;
-        self
-    }
-
-    /// Enables or disables the cross-round query cache (default: enabled).
-    /// The incremental blasting session stays on either way.
-    pub fn with_query_cache(mut self, enabled: bool) -> Solver {
-        self.no_query_cache = !enabled;
         self
     }
 
@@ -357,16 +330,6 @@ impl Solver {
     /// Statistics from the most recent [`check`](Solver::check).
     pub fn stats(&self) -> SolveStats {
         self.stats.get()
-    }
-
-    /// Cumulative cache counters across every `check` on this solver.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut cs = self.cache_stats.get();
-        if let Some(session) = self.state.borrow().session.as_ref() {
-            cs.roots_blasted = session.roots_blasted();
-            cs.roots_reused = session.roots_reused();
-        }
-        cs
     }
 
     /// Decides the conjunction of `constraints`, mapping internal solver
@@ -410,18 +373,6 @@ impl Solver {
         } else {
             bomblab_obs::counter("solver.cache_misses", 1);
         }
-        if stats.simplify_hits > 0 {
-            bomblab_obs::counter("solver.simplify_hits", stats.simplify_hits);
-        }
-        if stats.terms_pruned > 0 {
-            bomblab_obs::counter("solver.terms_pruned", stats.terms_pruned);
-        }
-        if stats.slices > 1 {
-            bomblab_obs::counter("solver.slices", stats.slices);
-        }
-        if stats.witness_hits > 0 {
-            bomblab_obs::counter("solver.witness_hits", stats.witness_hits);
-        }
         if stats.blocker_skips > 0 {
             bomblab_obs::counter("solver.blocker_skips", stats.blocker_skips);
         }
@@ -455,6 +406,8 @@ impl Solver {
     }
 
     fn check_impl(&self, constraints: &[Term]) -> Result<SolveOutcome, SolverError> {
+        // An injected fault answers with empty stats, not the last query's.
+        self.stats.set(SolveStats::default());
         // Fault-injection point: one hit per query. Inert (one relaxed
         // atomic load) unless a chaos plan is armed on this thread.
         if let Some(action) = bomblab_fault::fault_point(bomblab_fault::FaultSite::SolverQuery) {
@@ -578,14 +531,10 @@ impl Solver {
             // paths (shortcut / local search) and are never sliced: the
             // shortcut's validity depends on validating *all* constraints
             // together under one proposal.
-            let key = query_key(&live);
-            if !self.no_query_cache {
-                if let Some(out) = self.cache_lookup(&key, &live, &mut stats) {
-                    self.stats.set(stats);
-                    return Ok(out);
-                }
+            if let Some(out) = self.lookup(&live, None, &mut stats) {
+                self.stats.set(stats);
+                return Ok(out);
             }
-            self.bump_cache(|cs| cs.misses += 1);
             let out = match self.float_mode {
                 FloatMode::Reject => {
                     // Even float-less solvers handle one degenerate case the
@@ -603,14 +552,8 @@ impl Solver {
                     None => float_local_search(&live),
                 },
             };
+            self.remember(&live, &out, None, &mut stats);
             self.stats.set(stats);
-            if !self.no_query_cache {
-                // The session never saw these terms; pin them so the cache
-                // key ids stay unique.
-                let mut st = self.state.borrow_mut();
-                st.pinned.extend(live.iter().cloned());
-                Self::cache_store(&mut st, key, &out);
-            }
             return Ok(out);
         }
 
@@ -631,17 +574,16 @@ impl Solver {
         let mut merged = Model::default();
         let mut every_slice_hit = true;
         let mut first_unknown: Option<UnknownReason> = None;
-        // Cache-missed slices, each beside its shared-store key (rendered
-        // once, and only with a store attached).
+        // Slices that missed every cache, each beside its shared-store key
+        // (computed only with a store attached).
         let mut missed: Vec<(&Vec<Term>, Option<u64>)> = Vec::new();
         for slice_terms in &slices {
             stats.cache_hit = false;
-            let out = if self.no_query_cache {
-                None
-            } else {
-                let key = query_key(slice_terms);
-                self.cache_lookup(&key, slice_terms, &mut stats)
-            };
+            let shared_key = self
+                .shared
+                .is_some()
+                .then(|| shardcache::slice_key(slice_terms));
+            let out = self.lookup(slice_terms, shared_key, &mut stats);
             every_slice_hit &= stats.cache_hit;
             match out {
                 Some(SolveOutcome::Unsat) => {
@@ -655,40 +597,8 @@ impl Solver {
                         first_unknown = Some(r);
                     }
                 }
-                Some(SolveOutcome::Sat(m)) => {
-                    for (name, value) in m.iter() {
-                        merged.values.insert(name.clone(), *value);
-                    }
-                }
-                None => {
-                    let shared_key = self
-                        .shared
-                        .is_some()
-                        .then(|| shardcache::slice_key(slice_terms));
-                    if let Some(m) =
-                        shared_key.and_then(|key| self.shared_lookup(key, slice_terms, &mut stats))
-                    {
-                        // Warm start: answered from the shared store
-                        // (verified inside the lookup). Feed the per-solver
-                        // layers so later rounds hit without touching it
-                        // again.
-                        if !self.no_query_cache {
-                            let mut st = self.state.borrow_mut();
-                            st.pinned.extend(slice_terms.iter().cloned());
-                            Self::cache_store(
-                                &mut st,
-                                query_key(slice_terms),
-                                &SolveOutcome::Sat(m.clone()),
-                            );
-                        }
-                        for (name, value) in m.iter() {
-                            merged.values.insert(name.clone(), *value);
-                        }
-                    } else {
-                        self.bump_cache(|cs| cs.misses += 1);
-                        missed.push((slice_terms, shared_key));
-                    }
-                }
+                Some(SolveOutcome::Sat(m)) => merged.values.extend(m.values),
+                None => missed.push((slice_terms, shared_key)),
             }
         }
         if !missed.is_empty() && !self.no_simplify {
@@ -701,33 +611,12 @@ impl Solver {
                 match interval_witness(slice_terms) {
                     WitnessVerdict::Sat(m) => {
                         stats.witness_hits += 1;
-                        if !self.no_query_cache {
-                            // The session never blasts these terms; pin
-                            // them so the cache-key ids stay unique.
-                            let mut st = self.state.borrow_mut();
-                            st.pinned.extend(slice_terms.iter().cloned());
-                            Self::cache_store(
-                                &mut st,
-                                query_key(slice_terms),
-                                &SolveOutcome::Sat(m.clone()),
-                            );
-                        }
-                        self.shared_record(shared_key, &m, &mut stats);
-                        for (name, value) in m.iter() {
-                            merged.values.insert(name.clone(), *value);
-                        }
+                        merged.values.extend(m.iter().map(|(n, v)| (n.clone(), *v)));
+                        self.remember(slice_terms, &SolveOutcome::Sat(m), shared_key, &mut stats);
                     }
                     WitnessVerdict::Unsat => {
                         stats.witness_hits += 1;
-                        if !self.no_query_cache {
-                            let mut st = self.state.borrow_mut();
-                            st.pinned.extend(slice_terms.iter().cloned());
-                            Self::cache_store(
-                                &mut st,
-                                query_key(slice_terms),
-                                &SolveOutcome::Unsat,
-                            );
-                        }
+                        self.remember(slice_terms, &SolveOutcome::Unsat, None, &mut stats);
                         stats.interval_ns += t3.elapsed().as_nanos() as u64;
                         stats.cache_hit = every_slice_hit;
                         self.stats.set(stats);
@@ -749,12 +638,10 @@ impl Solver {
             let union: Vec<Term> = missed.iter().flat_map(|(s, _)| s.iter().cloned()).collect();
             match self.solve_slice(&union, &mut stats)? {
                 SolveOutcome::Unsat => {
-                    if !self.no_query_cache {
-                        // The union is a genuine unsat core (which member
-                        // slice caused it is unattributed); feed it to the
-                        // subsumption layer under its own key.
-                        let mut st = self.state.borrow_mut();
-                        Self::cache_store(&mut st, query_key(&union), &SolveOutcome::Unsat);
+                    // Which member of a batched union caused the unsat is
+                    // unattributed, so only a lone slice is remembered.
+                    if let [(slice_terms, _)] = missed[..] {
+                        self.remember(slice_terms, &SolveOutcome::Unsat, None, &mut stats);
                     }
                     stats.cache_hit = every_slice_hit;
                     self.stats.set(stats);
@@ -766,33 +653,19 @@ impl Solver {
                     }
                 }
                 SolveOutcome::Sat(m) => {
-                    if !self.no_query_cache {
-                        // Store each slice's restriction of the model under
-                        // its own key, so later queries sharing only a path
-                        // prefix still hit slice-by-slice. The session
-                        // retains the blasted roots, so key ids stay pinned.
-                        let mut st = self.state.borrow_mut();
-                        for &(slice_terms, shared_key) in &missed {
-                            let mut vars = Vec::new();
-                            for c in slice_terms.iter() {
-                                c.collect_vars(&mut vars);
+                    // Remember each slice's restriction of the model under
+                    // its own key, so later queries sharing only a path
+                    // prefix still hit slice-by-slice.
+                    for &(slice_terms, shared_key) in &missed {
+                        let mut sub = Model::default();
+                        for var in &slice_vars(slice_terms) {
+                            if let Some(v) = m.values.get(&var.name) {
+                                sub.values.insert(var.name.clone(), *v);
                             }
-                            vars.sort();
-                            vars.dedup();
-                            let mut sub = Model::default();
-                            for var in &vars {
-                                if let Some(v) = m.values.get(&var.name) {
-                                    sub.values.insert(var.name.clone(), *v);
-                                }
-                            }
-                            self.shared_record(shared_key, &sub, &mut stats);
-                            let key = query_key(slice_terms);
-                            Self::cache_store(&mut st, key, &SolveOutcome::Sat(sub));
                         }
+                        self.remember(slice_terms, &SolveOutcome::Sat(sub), shared_key, &mut stats);
                     }
-                    for (name, value) in m.iter() {
-                        merged.values.insert(name.clone(), *value);
-                    }
+                    merged.values.extend(m.values);
                 }
             }
         }
@@ -817,7 +690,7 @@ impl Solver {
     }
 
     /// Blasts and solves one slice through the shared incremental session,
-    /// accumulating SAT statistics into `stats`.
+    /// accumulating SAT and root statistics into `stats`.
     fn solve_slice(
         &self,
         slice_terms: &[Term],
@@ -825,15 +698,14 @@ impl Solver {
     ) -> Result<SolveOutcome, SolverError> {
         let mut st = self.state.borrow_mut();
         let session = st.session.get_or_insert_with(bitblast::Session::new);
-        let mut roots = Vec::with_capacity(slice_terms.len());
-        for c in slice_terms {
-            match session.root_lit(c) {
-                Ok(l) => roots.push(l),
-                Err(bitblast::BlastError::Float) => {
-                    return Ok(SolveOutcome::Unknown(UnknownReason::FloatUnsupported));
-                }
-            }
-        }
+        let blasted_before = session.roots_blasted();
+        let reused_before = session.roots_reused();
+        let roots: Result<Vec<_>, _> = slice_terms.iter().map(|c| session.root_lit(c)).collect();
+        stats.roots_blasted += session.roots_blasted() - blasted_before;
+        stats.roots_reused += session.roots_reused() - reused_before;
+        let Ok(roots) = roots else {
+            return Ok(SolveOutcome::Unknown(UnknownReason::FloatUnsupported));
+        };
         let conflicts_before = session.conflicts();
         let props_before = session.propagations();
         let blockers_before = session.blocker_skips();
@@ -847,14 +719,8 @@ impl Solver {
         stats.lbd_evictions += session.lbd_evictions() - evictions_before;
         Ok(match result {
             sat::SatResult::Sat(m) => {
-                let mut vars = Vec::new();
-                for c in slice_terms {
-                    c.collect_vars(&mut vars);
-                }
-                vars.sort();
-                vars.dedup();
                 let mut model = Model::default();
-                for var in &vars {
+                for var in &slice_vars(slice_terms) {
                     let Some(bits) = session.var_bits(var) else {
                         return Err(SolverError::UnblastedVariable(var.name.clone()));
                     };
@@ -880,146 +746,131 @@ impl Solver {
         })
     }
 
-    /// Read-through lookup of one slice in the shared store under its
-    /// `key`. The store is untrusted input, so a model answers the slice
-    /// only after concrete evaluation confirms it satisfies every
-    /// constraint — verification is the soundness authority, exactly as
-    /// for the interval witnesses. Rejected models are counted and treated
-    /// as misses.
-    fn shared_lookup(
+    /// Answers one slice from the caches, cheapest first: exact outcome
+    /// replay, model re-validation, then (given its `shared_key`) the
+    /// shared store. Counts the layer that answered, or a miss.
+    ///
+    /// The store is untrusted input, so its model answers the slice only
+    /// after concrete evaluation confirms it satisfies every constraint,
+    /// exactly as for the interval witnesses; a rejected model is counted
+    /// and the slice misses. A verified model is remembered, so later
+    /// rounds hit without touching the store again.
+    fn lookup(
         &self,
-        key: u64,
         slice_terms: &[Term],
-        stats: &mut SolveStats,
-    ) -> Option<Model> {
-        let cache = self.shared.as_ref()?;
-        let stored = cache.lookup(key)?;
-        let mut vars = Vec::new();
-        for c in slice_terms {
-            c.collect_vars(&mut vars);
-        }
-        vars.sort();
-        vars.dedup();
-        let mut model = Model::default();
-        for var in &vars {
-            let value = stored
-                .iter()
-                .find(|(name, _)| *name == var.name)
-                .map_or(0, |(_, v)| *v);
-            model.insert(var.name.clone(), value);
-        }
-        let env = model.as_env();
-        if slice_terms
-            .iter()
-            .all(|c| eval(c, &env).is_ok_and(|v| v.truth()))
-        {
-            cache.note_hit();
-            stats.shared_cache_hits += 1;
-            Some(model)
-        } else {
-            cache.note_rejected();
-            stats.shared_cache_rejected += 1;
-            None
-        }
-    }
-
-    /// Records a satisfying slice model into the shared store under its
-    /// `key` (`None` when no store is attached). First writer wins across
-    /// threads; only a genuine insert counts as a store.
-    fn shared_record(&self, key: Option<u64>, model: &Model, stats: &mut SolveStats) {
-        if let (Some(cache), Some(key)) = (&self.shared, key) {
-            if cache.record(key, model) {
-                stats.shared_cache_stores += 1;
-            }
-        }
-    }
-
-    fn bump_cache(&self, f: impl FnOnce(&mut CacheStats)) {
-        let mut cs = self.cache_stats.get();
-        f(&mut cs);
-        self.cache_stats.set(cs);
-    }
-
-    /// The three cache layers, cheapest first: exact outcome replay, unsat
-    /// core subsumption, and model re-validation.
-    fn cache_lookup(
-        &self,
-        key: &[usize],
-        live: &[Term],
+        shared_key: Option<u64>,
         stats: &mut SolveStats,
     ) -> Option<SolveOutcome> {
-        let st = self.state.borrow();
-        if let Some(out) = st.exact.get(key) {
-            stats.cache_hit = true;
-            self.bump_cache(|cs| cs.exact_hits += 1);
-            return Some(out.clone());
-        }
-        if st
-            .unsat_cores
-            .iter()
-            .any(|core| is_sorted_subset(core, key))
-        {
-            stats.cache_hit = true;
-            self.bump_cache(|cs| cs.unsat_subset_hits += 1);
-            return Some(SolveOutcome::Unsat);
-        }
-        // Model reuse: a recent model that happens to satisfy this query
-        // answers it without touching the SAT solver (variables the model
-        // does not bind default to zero and are validated like the rest).
-        let mut vars = Vec::new();
-        for c in live {
-            c.collect_vars(&mut vars);
-        }
-        vars.sort();
-        vars.dedup();
-        for cached in st.models.iter().rev().take(MODEL_REUSE_TRIES) {
-            let env: std::collections::HashMap<Arc<str>, u64> = vars
-                .iter()
-                .map(|v| (v.name.clone(), cached.get(&v.name).unwrap_or(0)))
-                .collect();
-            if live
-                .iter()
-                .all(|c| matches!(eval(c, &env), Ok(Value::Bool(true))))
-            {
-                let mut model = Model::default();
-                for (name, value) in env {
-                    model.values.insert(name, value);
-                }
+        let vars = {
+            let st = self.state.borrow();
+            if let Some(out) = st.exact.get(&query_key(slice_terms)) {
                 stats.cache_hit = true;
-                self.bump_cache(|cs| cs.model_hits += 1);
-                return Some(SolveOutcome::Sat(model));
+                stats.exact_hits += 1;
+                return Some(out.clone());
+            }
+            // Model reuse: a recent model that happens to satisfy the slice
+            // answers it without touching the SAT solver (variables the
+            // model does not bind default to zero and are validated like
+            // the rest).
+            let vars = slice_vars(slice_terms);
+            for cached in st.models.iter().rev().take(MODEL_REUSE_TRIES) {
+                let env = bind(&vars, |name| cached.get(name));
+                if holds(slice_terms, &env) {
+                    stats.cache_hit = true;
+                    stats.model_hits += 1;
+                    return Some(SolveOutcome::Sat(model_of(env)));
+                }
+            }
+            vars
+        };
+        if let (Some(cache), Some(key)) = (&self.shared, shared_key) {
+            if let Some(stored) = cache.lookup(key) {
+                let env = bind(&vars, |name| {
+                    stored
+                        .iter()
+                        .find(|(n, _)| n.as_ref() == name)
+                        .map(|&(_, v)| v)
+                });
+                if holds(slice_terms, &env) {
+                    stats.shared_cache_hits += 1;
+                    let out = SolveOutcome::Sat(model_of(env));
+                    self.remember(slice_terms, &out, None, stats);
+                    return Some(out);
+                }
+                stats.shared_cache_rejected += 1;
             }
         }
+        stats.misses += 1;
         None
     }
 
-    fn cache_store(st: &mut SolverState, key: Vec<usize>, out: &SolveOutcome) {
-        match out {
-            SolveOutcome::Sat(model) => {
-                if st.models.len() >= MODEL_CACHE_CAP {
-                    st.models.remove(0);
+    /// Records a slice's `out`come in the exact layer, and a satisfying
+    /// model in the model-reuse layer and (given its `shared_key`) the
+    /// shared store. First writer wins in the store across threads; only
+    /// a genuine insert counts as a store.
+    fn remember(
+        &self,
+        slice_terms: &[Term],
+        out: &SolveOutcome,
+        shared_key: Option<u64>,
+        stats: &mut SolveStats,
+    ) {
+        let mut st = self.state.borrow_mut();
+        if let SolveOutcome::Sat(model) = out {
+            if let (Some(cache), Some(key)) = (&self.shared, shared_key) {
+                if cache.record(key, model) {
+                    stats.shared_cache_stores += 1;
                 }
-                st.models.push(model.clone());
             }
-            SolveOutcome::Unsat => {
-                if st.unsat_cores.len() < UNSAT_CORE_CAP {
-                    st.unsat_cores.push(key.clone());
-                }
+            if st.models.len() >= MODEL_CACHE_CAP {
+                st.models.remove(0);
             }
-            SolveOutcome::Unknown(_) => {}
+            st.models.push(model.clone());
         }
-        st.exact.insert(key, out.clone());
+        st.exact.insert(query_key(slice_terms), out.clone());
     }
 }
 
-/// Canonical cache fingerprint: hash-consing makes term ids stable within
-/// the thread, so the sorted deduped id vector identifies the constraint
-/// set exactly.
-fn query_key(terms: &[Term]) -> Vec<usize> {
-    let mut key: Vec<usize> = terms.iter().map(Term::id).collect();
-    key.sort_unstable();
+/// Canonical cache key: hash-consing makes term identity structural within
+/// the thread, so the terms sorted by id and deduped identify the
+/// constraint set exactly.
+fn query_key(terms: &[Term]) -> Vec<Term> {
+    let mut key = terms.to_vec();
+    key.sort_unstable_by_key(Term::id);
     key.dedup();
     key
+}
+
+/// The distinct variables of `terms`, sorted.
+fn slice_vars(terms: &[Term]) -> Vec<Var> {
+    let mut vars = Vec::new();
+    for c in terms {
+        c.collect_vars(&mut vars);
+    }
+    vars.sort();
+    vars.dedup();
+    vars
+}
+
+/// An environment binding each of `vars` to `value(name)`, or zero.
+fn bind(vars: &[Var], value: impl Fn(&str) -> Option<u64>) -> HashMap<Arc<str>, u64> {
+    vars.iter()
+        .map(|var| (var.name.clone(), value(&var.name).unwrap_or(0)))
+        .collect()
+}
+
+/// The model an environment assigns.
+fn model_of(env: HashMap<Arc<str>, u64>) -> Model {
+    Model {
+        values: env.into_iter().collect(),
+    }
+}
+
+/// Does every constraint of `terms` evaluate to true under `env`?
+fn holds(terms: &[Term], env: &HashMap<Arc<str>, u64>) -> bool {
+    terms
+        .iter()
+        .all(|c| matches!(eval(c, env), Ok(Value::Bool(true))))
 }
 
 /// Verdict of one interval-witness synthesis attempt on a slice.
@@ -1061,25 +912,12 @@ fn interval_witness(slice_terms: &[Term]) -> WitnessVerdict {
             }
         }
     }
-    let mut vars = Vec::new();
-    for c in slice_terms {
-        c.collect_vars(&mut vars);
-    }
-    vars.sort();
-    vars.dedup();
-    let mut model = Model::default();
-    for var in &vars {
-        let guess = env.get(var).map_or(0, |r| r.lo);
-        model.values.insert(var.name.clone(), guess);
-    }
-    let ok = {
-        let bind = model.as_env();
-        slice_terms
-            .iter()
-            .all(|c| eval(c, &bind).is_ok_and(|v| v.truth()))
-    };
-    if ok {
-        WitnessVerdict::Sat(model)
+    let guess: HashMap<Arc<str>, u64> = slice_vars(slice_terms)
+        .into_iter()
+        .map(|var| (var.name.clone(), env.get(&var).map_or(0, |r| r.lo)))
+        .collect();
+    if holds(slice_terms, &guess) {
+        WitnessVerdict::Sat(model_of(guess))
     } else {
         WitnessVerdict::Miss
     }
@@ -1087,31 +925,7 @@ fn interval_witness(slice_terms: &[Term]) -> WitnessVerdict {
 
 /// A model binding every variable of `constraints` to zero.
 fn zero_model(constraints: &[Term]) -> Model {
-    let mut vars = Vec::new();
-    for c in constraints {
-        c.collect_vars(&mut vars);
-    }
-    let mut model = Model::default();
-    for v in vars {
-        model.values.insert(v.name, 0);
-    }
-    model
-}
-
-/// Is sorted `needle` a subset of sorted `haystack`?
-fn is_sorted_subset(needle: &[usize], haystack: &[usize]) -> bool {
-    let mut it = haystack.iter();
-    'outer: for n in needle {
-        for h in it.by_ref() {
-            match h.cmp(n) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => continue 'outer,
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
+    model_of(bind(&slice_vars(constraints), |_| None))
 }
 
 /// Solves the degenerate "unconstrained reinterpreted float" pattern:
@@ -1134,7 +948,7 @@ fn unconstrained_float_shortcut(constraints: &[Term]) -> Option<Model> {
         }
     }
 
-    let mut proposal: std::collections::HashMap<Arc<str>, u64> = std::collections::HashMap::new();
+    let mut proposal: HashMap<Arc<str>, u64> = HashMap::new();
     let mut matched_any = false;
     for c in constraints {
         let Node::FCmp { op, a, b } = c.node() else {
@@ -1159,27 +973,8 @@ fn unconstrained_float_shortcut(constraints: &[Term]) -> Option<Model> {
         return None;
     }
     // Bind the remaining variables to zero and validate everything.
-    let mut vars = Vec::new();
-    for c in constraints {
-        c.collect_vars(&mut vars);
-    }
-    let mut env = std::collections::HashMap::new();
-    for v in &vars {
-        let val = proposal.get(&v.name).copied().unwrap_or(0);
-        env.insert(v.name.clone(), val);
-    }
-    if constraints
-        .iter()
-        .all(|c| matches!(eval(c, &env), Ok(Value::Bool(true))))
-    {
-        let mut model = Model::default();
-        for (name, value) in env {
-            model.values.insert(name, value);
-        }
-        Some(model)
-    } else {
-        None
-    }
+    let env = bind(&slice_vars(constraints), |name| proposal.get(name).copied());
+    holds(constraints, &env).then(|| model_of(env))
 }
 
 /// Bounded local search for formulas with floating-point terms: tries a
@@ -1190,11 +985,7 @@ fn float_local_search(constraints: &[Term]) -> SolveOutcome {
     for c in constraints {
         c.collect_vars(&mut vars);
     }
-    let check = |env: &std::collections::HashMap<Arc<str>, u64>| -> bool {
-        constraints
-            .iter()
-            .all(|c| matches!(eval(c, env), Ok(Value::Bool(true))))
-    };
+    let check = |env: &HashMap<Arc<str>, u64>| holds(constraints, env);
     let candidates: Vec<u64> = {
         let mut v: Vec<u64> = (0..=16).collect();
         v.extend([
@@ -1264,11 +1055,7 @@ fn float_local_search(constraints: &[Term]) -> SolveOutcome {
                         env.insert(other.name.clone(), if i == j { cand } else { 0 });
                     }
                     if check(&env) {
-                        let mut model = Model::default();
-                        for (name, value) in env {
-                            model.values.insert(name, value);
-                        }
-                        return SolveOutcome::Sat(model);
+                        return SolveOutcome::Sat(model_of(env));
                     }
                 }
             }
@@ -1494,8 +1281,35 @@ mod tests {
         assert_eq!(cold.stats().shared_cache_hits, 1);
         assert_eq!(cold.stats().shared_cache_stores, 0, "hit is not re-stored");
         assert_eq!(cold.stats().sat_vars, 0, "answered without blasting");
-        assert_eq!(shared.hits(), 1);
-        assert_eq!(shared.stores(), 1);
+        assert_eq!(cold.stats().misses, 0, "a store hit is not a miss");
+        assert_eq!(shared.entries(), 1);
+    }
+
+    #[test]
+    fn a_lone_cdcl_unsat_slice_is_replayed_exactly() {
+        // (x ^ 0x5A) == 0x6F pins x = 0x35, so x == 0x36 contradicts it;
+        // with the optimizer off only CDCL can tell.
+        let x = Term::var("x", 8);
+        let query = [xor_crackme(), Term::cmp(CmpOp::Eq, &x, &Term::bv(0x36, 8))];
+        let s = bare_solver();
+        assert_eq!(s.check(&query), SolveOutcome::Unsat);
+        let first = s.stats();
+        assert_eq!(first.misses, 1);
+        assert_eq!(first.roots_blasted, 2, "both constraints blasted");
+        assert!(first.sat_vars > 0, "decided by CDCL");
+
+        assert_eq!(s.check(&query), SolveOutcome::Unsat);
+        let again = s.stats();
+        assert_eq!(again.exact_hits, 1, "{again:?}");
+        assert!(again.cache_hit);
+        assert_eq!(again.misses, 0);
+        assert_eq!(again.conflicts, 0);
+        assert_eq!(again.propagations, 0);
+        assert_eq!(
+            again.roots_blasted + again.roots_reused,
+            0,
+            "no CNF touched"
+        );
     }
 
     #[test]
@@ -1507,7 +1321,7 @@ mod tests {
             warm.check(std::slice::from_ref(&c)),
             SolveOutcome::Sat(_)
         ));
-        assert_eq!(shared.stores(), 1, "poisoned entry was stored");
+        assert_eq!(warm.stats().shared_cache_stores, 1, "poisoned entry stored");
 
         let cold = bare_solver().with_shared_cache(Arc::clone(&shared));
         let SolveOutcome::Sat(m) = cold.check(&[c]) else {
@@ -1519,7 +1333,6 @@ mod tests {
             cold.stats().shared_cache_rejected >= 1,
             "corrupt model must be rejected by concrete evaluation"
         );
-        assert_eq!(shared.hits(), 0);
-        assert!(shared.rejected() >= 1);
+        assert_eq!(cold.stats().misses, 1, "a rejected model is a miss");
     }
 }

@@ -22,8 +22,9 @@
 //! * **Hits are re-verified.** A stored model is untrusted input; it
 //!   answers a slice only after concrete evaluation confirms it satisfies
 //!   every slice constraint. A failed verification counts as a rejection
-//!   and the pipeline proceeds as a miss — a poisoned entry can cost
-//!   time, never correctness.
+//!   (`SolveStats::shared_cache_rejected`, like every store counter) and
+//!   the pipeline proceeds as a miss — a poisoned entry can cost time,
+//!   never correctness.
 //! * **Only incremental solvers attach.** Paper-tool profiles
 //!   (`incremental_solver: false`) run a fresh solver per query, as the
 //!   paper measures each tool, so they neither read nor write the store
@@ -36,7 +37,6 @@
 use crate::expr::{fingerprint_fold, Term};
 use crate::Model;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// Number of independently locked shards. Eight is comfortably above any
@@ -57,12 +57,11 @@ pub fn slice_key(terms: &[Term]) -> u64 {
 type Bindings = Vec<(Arc<str>, u64)>;
 
 /// A sharded, thread-safe model store shared by every solver of a study.
+/// It counts none of its own traffic: each query's hits, stores and
+/// rejections are in its `SolveStats`.
 #[derive(Debug, Default)]
 pub struct ShardCache {
     shards: [RwLock<HashMap<u64, Bindings>>; NUM_SHARDS],
-    hits: AtomicU64,
-    stores: AtomicU64,
-    rejected: AtomicU64,
     /// Corrupt every stored binding (fault hook for the verification
     /// path; armed only by [`ShardCache::poisoned`]).
     poison: bool,
@@ -121,37 +120,7 @@ impl ShardCache {
             return false;
         }
         shard.insert(key, bindings);
-        self.stores.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Counts one verified read-through hit.
-    pub fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one model rejected by read-through verification.
-    pub fn note_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Verified read-through hits across the cache's lifetime.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Models stored across the cache's lifetime.
-    #[must_use]
-    pub fn stores(&self) -> u64 {
-        self.stores.load(Ordering::Relaxed)
-    }
-
-    /// Models rejected by read-through verification across the cache's
-    /// lifetime.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
     }
 
     /// Number of stored entries, over all shards.
@@ -189,7 +158,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![("x", 7), ("y", 9)]
         );
-        assert_eq!(cache.stores(), 1);
         assert_eq!(cache.entries(), 1);
     }
 
@@ -236,7 +204,7 @@ mod tests {
         assert!(cache.record(1, &model(&[("x", 1)])));
         assert!(!cache.record(1, &model(&[("x", 2)])));
         assert_eq!(cache.lookup(1).expect("entry")[0].1, 1);
-        assert_eq!(cache.stores(), 1);
+        assert_eq!(cache.entries(), 1);
     }
 
     #[test]
@@ -265,19 +233,23 @@ mod tests {
     #[test]
     fn concurrent_writers_and_readers_agree() {
         let cache = Arc::new(ShardCache::default());
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let cache = Arc::clone(&cache);
-                scope.spawn(move || {
-                    for key in 0..64 {
-                        cache.record(key, &model(&[("x", key)]));
-                        assert!(cache.lookup(key).is_some());
-                    }
-                    let _ = t;
-                });
-            }
+        let inserts: u64 = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|_| {
+                    let cache = Arc::clone(&cache);
+                    scope.spawn(move || {
+                        let mut won = 0;
+                        for key in 0..64 {
+                            won += u64::from(cache.record(key, &model(&[("x", key)])));
+                            assert!(cache.lookup(key).is_some());
+                        }
+                        won
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().expect("writer")).sum()
         });
         assert_eq!(cache.entries(), 64);
-        assert_eq!(cache.stores(), 64, "exactly one writer won each key");
+        assert_eq!(inserts, 64, "exactly one writer won each key");
     }
 }

@@ -74,9 +74,27 @@ fn multi_round_bombs_hit_the_query_cache() {
     );
     assert_eq!(
         ev.cache_hits,
-        ev.cache_exact_hits + ev.cache_model_hits + ev.cache_unsat_hits,
+        ev.cache_exact_hits + ev.cache_model_hits,
         "hit breakdown must sum to the total"
     );
+}
+
+#[test]
+fn stateless_cells_that_reach_cdcl_count_their_blasting() {
+    // A paper profile answers each query on a throwaway solver, so the
+    // cell's cache and blasting counters are the sum of every query's
+    // own stats, not a read of the engine's unused long-lived solver.
+    let case = dataset::decl_syscall();
+    let ground = ground_truth(&case.subject, &case.trigger);
+    let attempt = Engine::new(ToolProfile::angr()).explore(&case.subject, &ground);
+    let ev = &attempt.evidence;
+    assert!(ev.propagations > 0, "expected a CDCL run: {ev:#?}");
+    assert!(ev.roots_blasted > 0, "CDCL ran on unblasted roots: {ev:#?}");
+    assert!(
+        ev.cache_misses > 0,
+        "CDCL ran without a cache miss: {ev:#?}"
+    );
+    assert_eq!(ev.cache_hits, 0, "stateless profile hit a cache: {ev:#?}");
 }
 
 /// Baseline report bytes for the fast three-bomb slice, computed once.
