@@ -198,7 +198,9 @@ pub struct Evidence {
     pub cache_model_hits: u64,
     /// Constraint roots bit-blasted into fresh CNF.
     pub roots_blasted: u64,
-    /// Constraint roots reused from the blasting session.
+    /// Always 0, and in no counter list: every CDCL call blasts a fresh
+    /// CNF, so no root is ever reused. Kept only because the `layerbench`
+    /// benchmark still reads the field by name.
     pub roots_reused: u64,
     /// Wall-clock nanoseconds in concrete execution (VM) per attempt.
     pub vm_ns: u64,
@@ -290,7 +292,7 @@ pub struct Evidence {
 
 /// The numeric telemetry of one attempt as `(trace name, value)` pairs;
 /// see [`Evidence::counters`].
-pub type Counters = [(&'static str, u64); 41];
+pub type Counters = [(&'static str, u64); 40];
 
 impl Evidence {
     /// Every numeric telemetry counter, once, under its trace name. Trace
@@ -318,7 +320,6 @@ impl Evidence {
             ("cache_exact_hits", self.cache_exact_hits),
             ("cache_model_hits", self.cache_model_hits),
             ("roots_blasted", self.roots_blasted),
-            ("roots_reused", self.roots_reused),
             ("shared_cache_hits", self.shared_cache_hits),
             ("shared_cache_stores", self.shared_cache_stores),
             ("shared_cache_rejected", self.shared_cache_rejected),
@@ -665,9 +666,9 @@ impl Engine {
         // multi-digit atoi) is a fresh key and gets its own query.
         let mut visited_flips: HashSet<(u64, u64, bool)> = HashSet::new();
 
-        // One solver for the whole attempt: its incremental blasting
-        // session, query cache and learnt clauses persist across rounds,
-        // so later rounds extend earlier CNF instead of re-emitting it.
+        // One solver for the whole attempt: its query cache persists
+        // across rounds, so a later round's repeated slices are answered
+        // without another CDCL call. Each CDCL call blasts a fresh CNF.
         let mut solver = Solver::new()
             .with_budget(self.profile.solver_budget)
             .with_float_mode(self.profile.float_mode);
@@ -961,12 +962,12 @@ impl Engine {
                 }
                 evidence.queries += 1;
                 let solve_start = std::time::Instant::now();
-                // Stateless profiles get a throwaway solver per query:
-                // no learnt clauses, no cached models, no shared store, no
-                // incremental blasting — each query pays its full cost
-                // against the budget, the way the 2017-era tools did. The
-                // throwaway stays alive past `try_check` so its per-query
-                // optimizer statistics can be folded into the evidence.
+                // Stateless profiles get a throwaway solver per query: no
+                // cached models, no shared store — each query pays its full
+                // cost against the budget, the way the 2017-era tools did.
+                // The throwaway stays alive past `try_check` so its
+                // per-query optimizer statistics can be folded into the
+                // evidence.
                 let throwaway;
                 let active = if self.profile.incremental_solver {
                     &solver
@@ -997,7 +998,6 @@ impl Engine {
                 evidence.cache_model_hits += qstats.model_hits;
                 evidence.cache_misses += qstats.misses;
                 evidence.roots_blasted += qstats.roots_blasted;
-                evidence.roots_reused += qstats.roots_reused;
                 let outcome = match result {
                     Ok(out) => out,
                     Err(e) => {

@@ -98,8 +98,8 @@ pub struct ToolProfile {
     pub models_env_as_constraints: bool,
     /// Solver budget.
     pub solver_budget: SolverBudget,
-    /// Whether the tool's solver keeps state (learnt clauses, cached
-    /// queries, incremental blasting) across queries. The 2017-era tools
+    /// Whether the tool's solver keeps state (cached outcomes and models,
+    /// the shared model store) across queries. The 2017-era tools
     /// invoked their solver afresh per query, so the paper presets run
     /// stateless — otherwise the framework's own caching would quietly
     /// make the emulated tools stronger than the budget calibration.

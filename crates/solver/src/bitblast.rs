@@ -26,190 +26,94 @@ impl fmt::Display for BlastError {
 
 impl std::error::Error for BlastError {}
 
-/// Result of blasting a conjunction of boolean terms.
-#[derive(Debug)]
-pub struct Blasted {
-    /// The CNF, ready to solve.
-    pub solver: SatSolver,
-    /// Free variable → SAT variable per bit (LSB first).
-    pub vars: HashMap<Var, Vec<u32>>,
-}
-
-impl Blasted {
-    /// Reconstructs the value of `var` from a SAT model.
-    pub fn extract(&self, var: &Var, model: &[bool]) -> u64 {
-        let mut v = 0u64;
-        if let Some(bits) = self.vars.get(var) {
-            for (i, &b) in bits.iter().enumerate() {
-                if model[b as usize] {
-                    v |= 1 << i;
-                }
-            }
-        }
-        v
-    }
-}
-
-/// Blasts `constraints` (all boolean-sorted) into CNF.
-///
-/// # Errors
-///
-/// Returns [`BlastError::Float`] if any constraint contains floating-point
-/// nodes.
-///
-/// # Panics
-///
-/// Panics if a constraint is not boolean-sorted.
-pub fn blast(constraints: &[Term]) -> Result<Blasted, BlastError> {
-    let mut b = Blaster::new();
-    for c in constraints {
-        assert_eq!(
-            c.sort(),
-            crate::expr::Sort::Bool,
-            "constraints must be boolean"
-        );
-        // Populate the caches children-first so the recursive workers
-        // never descend more than one level on deep DAGs.
-        for node in c.topo_order() {
-            match node.sort() {
-                crate::expr::Sort::Bv(_) => {
-                    b.blast_bv(&node)?;
-                }
-                crate::expr::Sort::Bool => {
-                    b.blast_bool(&node)?;
-                }
-                crate::expr::Sort::F64 => return Err(BlastError::Float),
-            }
-        }
-        let l = b.blast_bool(c)?;
-        b.sat.add_clause(&[l]);
-    }
-    Ok(Blasted {
-        solver: b.sat,
-        vars: b.var_bits,
-    })
-}
-
-/// Incremental blasting session: keeps the SAT solver, the term → literal
-/// caches, and learnt clauses alive across queries. Each distinct constraint
-/// is Tseitin-encoded **once** into an indicator literal; a query for a
-/// constraint set is then a [`SatSolver::solve_with_assumptions`] call over
-/// the corresponding literals. Consecutive concolic rounds share long
-/// constraint prefixes, so with hash-consed terms the prefix's CNF is reused
-/// instead of re-emitted each round.
+/// The CNF of one CDCL call. Each constraint is Tseitin-encoded, in the
+/// order given, into an indicator literal, and [`Cnf::solve`] decides the
+/// conjunction with those literals as assumptions.
 ///
 /// Sound because every gate emitted by the blaster is a full (two-sided)
 /// Tseitin definition: the indicator literal is *equivalent* to its
 /// constraint under the definitional clauses, so assuming it constrains
 /// exactly that constraint and nothing else.
-#[derive(Debug, Default)]
-pub struct Session {
+#[derive(Debug)]
+pub struct Cnf {
     b: Blaster,
-    /// Constraint term id → indicator literal.
-    roots: HashMap<usize, Lit>,
-    /// Pins every blasted root (and thereby its subterms) so the pointer
-    /// ids keying the caches can never be reused by later allocations.
-    retained: Vec<Term>,
+    /// Each constraint's indicator literal, in constraint order.
+    roots: Vec<Lit>,
+    /// Distinct constraints encoded.
     roots_blasted: u64,
-    roots_reused: u64,
 }
 
-impl Session {
-    /// Creates an empty session.
-    pub fn new() -> Session {
-        Session::default()
-    }
-
-    /// Returns the indicator literal for boolean constraint `c`, emitting
-    /// its CNF if this session has not blasted it before.
+impl Cnf {
+    /// Blasts `constraints` (all boolean-sorted) into a fresh CNF.
     ///
     /// # Errors
     ///
-    /// Returns [`BlastError::Float`] if `c` contains floating-point nodes.
+    /// Returns [`BlastError::Float`] if any constraint contains
+    /// floating-point nodes.
     ///
     /// # Panics
     ///
-    /// Panics if `c` is not boolean-sorted.
-    pub fn root_lit(&mut self, c: &Term) -> Result<Lit, BlastError> {
-        if let Some(&l) = self.roots.get(&c.id()) {
-            self.roots_reused += 1;
-            return Ok(l);
+    /// Panics if a constraint is not boolean-sorted.
+    pub fn blast(constraints: &[Term]) -> Result<Cnf, BlastError> {
+        let mut b = Blaster::new();
+        let mut roots = Vec::with_capacity(constraints.len());
+        let mut distinct = std::collections::HashSet::with_capacity(constraints.len());
+        for c in constraints {
+            assert_eq!(
+                c.sort(),
+                crate::expr::Sort::Bool,
+                "constraints must be boolean"
+            );
+            // Populate the caches children-first so the recursive workers
+            // never descend more than one level on deep DAGs.
+            for node in c.topo_order() {
+                match node.sort() {
+                    crate::expr::Sort::Bv(_) => {
+                        b.blast_bv(&node)?;
+                    }
+                    crate::expr::Sort::Bool => {
+                        b.blast_bool(&node)?;
+                    }
+                    crate::expr::Sort::F64 => return Err(BlastError::Float),
+                }
+            }
+            roots.push(b.blast_bool(c)?);
+            distinct.insert(c.id());
         }
-        assert_eq!(
-            c.sort(),
-            crate::expr::Sort::Bool,
-            "constraints must be boolean"
-        );
-        // Populate the caches children-first so the recursive workers never
-        // descend more than one level on deep DAGs.
-        for node in c.topo_order() {
-            match node.sort() {
-                crate::expr::Sort::Bv(_) => {
-                    self.b.blast_bv(&node)?;
-                }
-                crate::expr::Sort::Bool => {
-                    self.b.blast_bool(&node)?;
-                }
-                crate::expr::Sort::F64 => return Err(BlastError::Float),
+        Ok(Cnf {
+            b,
+            roots,
+            roots_blasted: distinct.len() as u64,
+        })
+    }
+
+    /// Decides the conjunction under a conflict budget.
+    pub fn solve(&mut self, max_conflicts: u64) -> SatResult {
+        self.b
+            .sat
+            .solve_with_assumptions(&self.roots, max_conflicts)
+    }
+
+    /// The value of `var` in a SAT `model`, or `None` if `var` was never
+    /// blasted.
+    pub fn value(&self, var: &Var, model: &[bool]) -> Option<u64> {
+        let mut v = 0u64;
+        for (i, &b) in self.b.var_bits.get(var)?.iter().enumerate() {
+            if model[b as usize] {
+                v |= 1 << i;
             }
         }
-        let l = self.b.blast_bool(c)?;
-        self.roots.insert(c.id(), l);
-        self.retained.push(c.clone());
-        self.roots_blasted += 1;
-        Ok(l)
+        Some(v)
     }
 
-    /// Solves the conjunction of the constraints behind `roots` (literals
-    /// from [`Session::root_lit`]) under a conflict budget.
-    pub fn solve(&mut self, roots: &[Lit], max_conflicts: u64) -> SatResult {
-        self.b.sat.solve_with_assumptions(roots, max_conflicts)
-    }
-
-    /// SAT variables backing `var`'s bits (LSB first), if it was blasted.
-    pub fn var_bits(&self, var: &Var) -> Option<&[u32]> {
-        self.b.var_bits.get(var).map(Vec::as_slice)
-    }
-
-    /// Number of SAT variables allocated so far.
-    pub fn num_vars(&self) -> u32 {
-        self.b.sat.num_vars()
-    }
-
-    /// Number of SAT clauses emitted so far.
-    pub fn num_clauses(&self) -> usize {
-        self.b.sat.num_clauses()
-    }
-
-    /// Cumulative CDCL conflicts across all queries.
-    pub fn conflicts(&self) -> u64 {
-        self.b.sat.conflicts()
-    }
-
-    /// Cumulative CDCL propagations across all queries.
-    pub fn propagations(&self) -> u64 {
-        self.b.sat.propagations()
-    }
-
-    /// Cumulative watch-list entries dismissed by a true blocker literal
-    /// (propagation fast path; see [`SatSolver::blocker_skips`]).
-    pub fn blocker_skips(&self) -> u64 {
-        self.b.sat.blocker_skips()
-    }
-
-    /// Cumulative learnt clauses evicted by LBD-scored reduction.
-    pub fn lbd_evictions(&self) -> u64 {
-        self.b.sat.lbd_evictions()
-    }
-
-    /// Constraints Tseitin-encoded by this session.
+    /// Distinct constraints Tseitin-encoded.
     pub fn roots_blasted(&self) -> u64 {
         self.roots_blasted
     }
 
-    /// Constraint lookups answered from the root cache (CNF prefix reuse).
-    pub fn roots_reused(&self) -> u64 {
-        self.roots_reused
+    /// The SAT core: its size and its counters for this call.
+    pub fn sat(&self) -> &SatSolver {
+        &self.b.sat
     }
 }
 
@@ -220,12 +124,6 @@ struct Blaster {
     bv_cache: HashMap<usize, Vec<Lit>>,
     bool_cache: HashMap<usize, Lit>,
     var_bits: HashMap<Var, Vec<u32>>,
-}
-
-impl Default for Blaster {
-    fn default() -> Blaster {
-        Blaster::new()
-    }
 }
 
 impl Blaster {
@@ -716,20 +614,15 @@ mod tests {
 
     /// Blast `constraint`, solve, and check the model satisfies it.
     fn solve_and_check(constraint: &Term) -> Option<HashMap<Arc<str>, u64>> {
-        let Blasted { solver, vars } = blast(std::slice::from_ref(constraint)).expect("no floats");
-        let mut solver = solver;
-        match solver.solve(1_000_000) {
+        let mut cnf = Cnf::blast(std::slice::from_ref(constraint)).expect("no floats");
+        match cnf.solve(1_000_000) {
             SatResult::Sat(m) => {
-                let mut env = HashMap::new();
-                for (var, bits) in vars.iter() {
-                    let mut v = 0u64;
-                    for (i, &b) in bits.iter().enumerate() {
-                        if m[b as usize] {
-                            v |= 1 << i;
-                        }
-                    }
-                    env.insert(var.name.clone(), v);
-                }
+                let mut vars = Vec::new();
+                constraint.collect_vars(&mut vars);
+                let env: HashMap<Arc<str>, u64> = vars
+                    .iter()
+                    .map(|var| (var.name.clone(), cnf.value(var, &m).expect("blasted")))
+                    .collect();
                 assert_eq!(
                     eval(constraint, &env).expect("closed term"),
                     Value::Bool(true),
@@ -927,7 +820,7 @@ mod tests {
         let x = Term::var("x", 64);
         let f = Term::cvt_si_to_f(&x);
         let c = Term::fcmp(crate::expr::FCmpOp::Lt, &Term::f64(0.0), &f);
-        assert_eq!(blast(&[c]).unwrap_err(), BlastError::Float);
+        assert_eq!(Cnf::blast(&[c]).unwrap_err(), BlastError::Float);
     }
 
     #[test]

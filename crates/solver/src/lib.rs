@@ -122,8 +122,8 @@ impl fmt::Display for UnknownReason {
 /// signature while the engine can diagnose the stage precisely.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolverError {
-    /// Model extraction found a variable the blasting session never
-    /// encoded — an invariant break that used to `panic!` mid-study.
+    /// Model extraction found a variable the query's CNF never encoded —
+    /// an invariant break that used to `panic!` mid-study.
     UnblastedVariable(Arc<str>),
 }
 
@@ -184,9 +184,9 @@ pub enum SolveOutcome {
 pub struct SolveStats {
     /// Term nodes in the (simplified) formula.
     pub formula_nodes: usize,
-    /// SAT variables created by blasting (cumulative across the session).
+    /// SAT variables of this query's CNF (0 when no slice reached CDCL).
     pub sat_vars: u32,
-    /// SAT clauses created by blasting (cumulative across the session).
+    /// SAT clauses of this query's CNF (0 when no slice reached CDCL).
     pub sat_clauses: usize,
     /// CDCL conflicts spent on this query.
     pub conflicts: u64,
@@ -197,9 +197,6 @@ pub struct SolveStats {
     pub blocker_skips: u64,
     /// Learnt clauses evicted by LBD-scored database reduction on this query.
     pub lbd_evictions: u64,
-    /// Whether the query was answered from the cross-round cache (with
-    /// slicing: every slice answered from cache).
-    pub cache_hit: bool,
     /// Rewrite-simplifier memo hits on this query (stage 1).
     pub simplify_hits: u64,
     /// Constraints dropped as tautologies or folded to `true` by the
@@ -235,12 +232,8 @@ pub struct SolveStats {
     /// Slices that missed the per-solver layers and the shared store and
     /// went on to the witness stage and CDCL.
     pub misses: u64,
-    /// Constraint roots Tseitin-encoded by the blasting session on this
-    /// query.
+    /// Constraint roots Tseitin-encoded into this query's CNF.
     pub roots_blasted: u64,
-    /// Constraint roots served from the blasting session's CNF on this
-    /// query (prefix reuse).
-    pub roots_reused: u64,
 }
 
 /// How many cached models a query tries to re-validate before solving.
@@ -251,8 +244,6 @@ const MODEL_CACHE_CAP: usize = 64;
 /// Mutable cross-query state behind the immutable `check(&self)` interface.
 #[derive(Debug, Default)]
 struct SolverState {
-    /// Incremental blasting session shared by all bitvector queries.
-    session: Option<bitblast::Session>,
     /// A slice's constraint set (hash-consed terms, sorted by id and
     /// deduped; see [`query_key`]) → its recorded outcome. The key holds
     /// its own terms, so their ids cannot be reused while the entry lives.
@@ -263,11 +254,10 @@ struct SolverState {
 
 /// The solver front-end.
 ///
-/// A `Solver` is cheap to create but *profits from living long*: it keeps an
-/// incremental bit-blasting session (CNF and learnt clauses persist across
-/// queries, constraint prefixes are blasted once) and a cross-round query
-/// cache with two layers per slice: exact outcome replay and model reuse.
-/// The concolic engine gives incremental profiles one solver per
+/// A `Solver` is cheap to create and keeps a cross-round query cache with
+/// two layers per slice: exact outcome replay and model reuse. Each CDCL
+/// call blasts its slices into a fresh CNF, so no clause outlives its
+/// query. The concolic engine gives incremental profiles one solver per
 /// exploration, not one per round. Every counter is per query, in
 /// [`stats`](Solver::stats).
 #[derive(Debug, Default)]
@@ -368,10 +358,12 @@ impl Solver {
         bomblab_obs::counter("solver.queries", 1);
         bomblab_obs::hist("solver.query_ns", ns);
         bomblab_obs::hist("solver.conflicts", stats.conflicts);
-        if stats.cache_hit {
-            bomblab_obs::counter("solver.cache_hits", 1);
-        } else {
-            bomblab_obs::counter("solver.cache_misses", 1);
+        let hits = stats.exact_hits + stats.model_hits;
+        if hits > 0 {
+            bomblab_obs::counter("solver.cache_hits", hits);
+        }
+        if stats.misses > 0 {
+            bomblab_obs::counter("solver.cache_misses", stats.misses);
         }
         if stats.blocker_skips > 0 {
             bomblab_obs::counter("solver.blocker_skips", stats.blocker_skips);
@@ -397,7 +389,7 @@ impl Solver {
         bomblab_obs::event("solver.query", || {
             vec![
                 ("outcome", Field::Str(outcome.to_string())),
-                ("cache_hit", Field::Bool(stats.cache_hit)),
+                ("misses", Field::U64(stats.misses)),
                 ("conflicts", Field::U64(stats.conflicts)),
                 ("formula_nodes", Field::U64(stats.formula_nodes as u64)),
                 ("ns", Field::U64(ns)),
@@ -572,23 +564,19 @@ impl Solver {
         stats.slices = slices.len() as u64;
 
         let mut merged = Model::default();
-        let mut every_slice_hit = true;
         let mut first_unknown: Option<UnknownReason> = None;
         // Slices that missed every cache, each beside its shared-store key
         // (computed only with a store attached).
         let mut missed: Vec<(&Vec<Term>, Option<u64>)> = Vec::new();
         for slice_terms in &slices {
-            stats.cache_hit = false;
             let shared_key = self
                 .shared
                 .is_some()
                 .then(|| shardcache::slice_key(slice_terms));
             let out = self.lookup(slice_terms, shared_key, &mut stats);
-            every_slice_hit &= stats.cache_hit;
             match out {
                 Some(SolveOutcome::Unsat) => {
                     // Unsat wins over any Unknown from an earlier slice.
-                    stats.cache_hit = every_slice_hit;
                     self.stats.set(stats);
                     return Ok(SolveOutcome::Unsat);
                 }
@@ -618,7 +606,6 @@ impl Solver {
                         stats.witness_hits += 1;
                         self.remember(slice_terms, &SolveOutcome::Unsat, None, &mut stats);
                         stats.interval_ns += t3.elapsed().as_nanos() as u64;
-                        stats.cache_hit = every_slice_hit;
                         self.stats.set(stats);
                         return Ok(SolveOutcome::Unsat);
                     }
@@ -643,7 +630,6 @@ impl Solver {
                     if let [(slice_terms, _)] = missed[..] {
                         self.remember(slice_terms, &SolveOutcome::Unsat, None, &mut stats);
                     }
-                    stats.cache_hit = every_slice_hit;
                     self.stats.set(stats);
                     return Ok(SolveOutcome::Unsat);
                 }
@@ -669,7 +655,6 @@ impl Solver {
                 }
             }
         }
-        stats.cache_hit = every_slice_hit;
         self.stats.set(stats);
         if let Some(r) = first_unknown {
             return Ok(SolveOutcome::Unknown(r));
@@ -689,47 +674,32 @@ impl Solver {
         Ok(SolveOutcome::Sat(merged))
     }
 
-    /// Blasts and solves one slice through the shared incremental session,
-    /// accumulating SAT and root statistics into `stats`.
+    /// Blasts one slice into a fresh CNF and solves it, accumulating the
+    /// call's SAT and root statistics into `stats`.
     fn solve_slice(
         &self,
         slice_terms: &[Term],
         stats: &mut SolveStats,
     ) -> Result<SolveOutcome, SolverError> {
-        let mut st = self.state.borrow_mut();
-        let session = st.session.get_or_insert_with(bitblast::Session::new);
-        let blasted_before = session.roots_blasted();
-        let reused_before = session.roots_reused();
-        let roots: Result<Vec<_>, _> = slice_terms.iter().map(|c| session.root_lit(c)).collect();
-        stats.roots_blasted += session.roots_blasted() - blasted_before;
-        stats.roots_reused += session.roots_reused() - reused_before;
-        let Ok(roots) = roots else {
+        let Ok(mut cnf) = bitblast::Cnf::blast(slice_terms) else {
             return Ok(SolveOutcome::Unknown(UnknownReason::FloatUnsupported));
         };
-        let conflicts_before = session.conflicts();
-        let props_before = session.propagations();
-        let blockers_before = session.blocker_skips();
-        let evictions_before = session.lbd_evictions();
-        let result = session.solve(&roots, self.budget.max_conflicts);
-        stats.sat_vars = session.num_vars();
-        stats.sat_clauses = session.num_clauses();
-        stats.conflicts += session.conflicts() - conflicts_before;
-        stats.propagations += session.propagations() - props_before;
-        stats.blocker_skips += session.blocker_skips() - blockers_before;
-        stats.lbd_evictions += session.lbd_evictions() - evictions_before;
+        let result = cnf.solve(self.budget.max_conflicts);
+        let cdcl = cnf.sat();
+        stats.roots_blasted += cnf.roots_blasted();
+        stats.sat_vars = cdcl.num_vars();
+        stats.sat_clauses = cdcl.num_clauses();
+        stats.conflicts += cdcl.conflicts();
+        stats.propagations += cdcl.propagations();
+        stats.blocker_skips += cdcl.blocker_skips();
+        stats.lbd_evictions += cdcl.lbd_evictions();
         Ok(match result {
             sat::SatResult::Sat(m) => {
                 let mut model = Model::default();
                 for var in &slice_vars(slice_terms) {
-                    let Some(bits) = session.var_bits(var) else {
+                    let Some(v) = cnf.value(var, &m) else {
                         return Err(SolverError::UnblastedVariable(var.name.clone()));
                     };
-                    let mut v = 0u64;
-                    for (i, &b) in bits.iter().enumerate() {
-                        if m[b as usize] {
-                            v |= 1 << i;
-                        }
-                    }
                     model.values.insert(var.name.clone(), v);
                 }
                 // Sanity: the model must satisfy every slice constraint.
@@ -764,7 +734,6 @@ impl Solver {
         let vars = {
             let st = self.state.borrow();
             if let Some(out) = st.exact.get(&query_key(slice_terms)) {
-                stats.cache_hit = true;
                 stats.exact_hits += 1;
                 return Some(out.clone());
             }
@@ -776,7 +745,6 @@ impl Solver {
             for cached in st.models.iter().rev().take(MODEL_REUSE_TRIES) {
                 let env = bind(&vars, |name| cached.get(name));
                 if holds(slice_terms, &env) {
-                    stats.cache_hit = true;
                     stats.model_hits += 1;
                     return Some(SolveOutcome::Sat(model_of(env)));
                 }
@@ -1301,15 +1269,46 @@ mod tests {
         assert_eq!(s.check(&query), SolveOutcome::Unsat);
         let again = s.stats();
         assert_eq!(again.exact_hits, 1, "{again:?}");
-        assert!(again.cache_hit);
         assert_eq!(again.misses, 0);
         assert_eq!(again.conflicts, 0);
         assert_eq!(again.propagations, 0);
-        assert_eq!(
-            again.roots_blasted + again.roots_reused,
-            0,
-            "no CNF touched"
+        assert_eq!(again.roots_blasted, 0, "no CNF built");
+    }
+
+    #[test]
+    fn each_cdcl_call_blasts_a_fresh_cnf() {
+        // Query B, over other variables than query A, must cost the same
+        // on a solver that already ran A as on a fresh one: no clause,
+        // variable or learnt fact of A's CNF is carried into B's.
+        let (x, y) = (Term::var("x", 16), Term::var("y", 16));
+        let a = Term::cmp(
+            CmpOp::Eq,
+            &Term::bin(BvOp::Mul, &x, &Term::bv(3, 16)),
+            &Term::bv(0x1233, 16),
         );
+        let b = Term::cmp(
+            CmpOp::Eq,
+            &Term::bin(
+                BvOp::Xor,
+                &Term::bin(BvOp::Add, &y, &y),
+                &Term::bv(0x5A5A, 16),
+            ),
+            &Term::bv(0x1234, 16),
+        );
+        let used = bare_solver();
+        assert!(matches!(used.check(&[a]), SolveOutcome::Sat(_)));
+        assert!(used.stats().sat_vars > 0, "A reached CDCL");
+        let after_a = used.check(std::slice::from_ref(&b));
+        let fresh = bare_solver();
+        let alone = fresh.check(&[b]);
+        assert!(matches!(alone, SolveOutcome::Sat(_)));
+        assert_eq!(after_a, alone, "same model");
+        let (s1, s2) = (used.stats(), fresh.stats());
+        assert_eq!(s1.misses, 1, "B reached CDCL: {s1:?}");
+        assert_eq!(s1.sat_vars, s2.sat_vars);
+        assert_eq!(s1.sat_clauses, s2.sat_clauses);
+        assert_eq!(s1.conflicts, s2.conflicts);
+        assert_eq!(s1.propagations, s2.propagations);
     }
 
     #[test]

@@ -228,6 +228,46 @@ fn cell_lines_carry_every_nonzero_counter() {
 }
 
 #[test]
+fn observed_cache_counters_count_slices_like_the_evidence() {
+    // The obs counters `solver.cache_hits` / `solver.cache_misses` and the
+    // `Evidence` counters of the same names must measure the same thing:
+    // per slice, hits being exact replays plus model reuses.
+    let cases: Vec<StudyCase> = bomblab::bombs::all_cases()
+        .into_iter()
+        .filter(|c| c.subject.name.starts_with("covert"))
+        .collect();
+    let report = run_study_with(
+        &cases,
+        &[ToolProfile::omniscient()],
+        &StudyOptions {
+            jobs: 1,
+            observe: true,
+            ..StudyOptions::default()
+        },
+    );
+    let (mut hits, mut misses) = (0, 0);
+    for row in &report.rows {
+        for cell in &row.cells {
+            let observed = cell.obs.as_ref().expect("observed cell");
+            let ev = &cell.attempt.evidence;
+            assert_eq!(
+                (
+                    observed.counter("solver.cache_hits"),
+                    observed.counter("solver.cache_misses")
+                ),
+                (ev.cache_hits, ev.cache_misses),
+                "{} x {}",
+                row.name,
+                cell.profile
+            );
+            hits += ev.cache_hits;
+            misses += ev.cache_misses;
+        }
+    }
+    assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
+}
+
+#[test]
 fn a_solved_attempt_renders_a_valid_cell_line() {
     // The `solve --trace` path: one engine run outside any study.
     let case = dataset::covert_stack();

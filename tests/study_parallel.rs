@@ -50,11 +50,11 @@ fn oversubscribed_pool_handles_fewer_items_than_workers() {
 #[test]
 fn multi_round_bombs_hit_the_query_cache() {
     // covert_syscall explores many rounds whose path prefixes overlap
-    // heavily: the persistent solver must reuse blasted CNF and answer
-    // repeat queries from its cache instead of re-solving. Only the
-    // omniscient profile gets the incremental solver — the paper-tool
-    // profiles run stateless so the framework's caching cannot make the
-    // emulated 2017 tools stronger than their budget calibration.
+    // heavily: the persistent solver must answer repeat queries from its
+    // cache instead of re-solving. Only the omniscient profile gets the
+    // incremental solver — the paper-tool profiles run stateless so the
+    // framework's caching cannot make the emulated 2017 tools stronger
+    // than their budget calibration.
     let case = dataset::covert_syscall();
     let ground = ground_truth(&case.subject, &case.trigger);
     let attempt = Engine::new(ToolProfile::omniscient()).explore(&case.subject, &ground);
@@ -67,10 +67,6 @@ fn multi_round_bombs_hit_the_query_cache() {
     assert!(
         ev.cache_hits > 0,
         "cross-round query cache never hit: {ev:#?}"
-    );
-    assert!(
-        ev.roots_reused > 0,
-        "incremental blasting session never reused a constraint: {ev:#?}"
     );
     assert_eq!(
         ev.cache_hits,
@@ -201,7 +197,6 @@ fn paper_profiles_run_a_stateless_solver() {
             .explore(&case.subject, &ground);
         let ev = &attempt.evidence;
         assert_eq!(ev.cache_hits, 0, "stateless profile hit a cache: {ev:#?}");
-        assert_eq!(ev.roots_reused, 0, "stateless profile reused CNF: {ev:#?}");
         assert_eq!(ev.shared_cache_hits, 0, "stateless profile read the store");
         assert_eq!(
             ev.shared_cache_stores, 0,
