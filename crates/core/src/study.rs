@@ -905,6 +905,7 @@ pub fn run_study_with(
     let jobs = options.jobs;
     let plan = options.fault_plan.as_ref();
     let deadline = options.cell_deadline;
+    let dataflow_hints = profiles.iter().any(|p| p.use_dataflow_hints);
     let capabilities: Vec<bomblab_sa::Capabilities> = profiles
         .iter()
         .map(ToolProfile::static_capabilities)
@@ -973,7 +974,7 @@ pub fn run_study_with(
             let token = fault::arm(plan, deadline);
             let analysis = catch_unwind(AssertUnwindSafe(|| {
                 bomblab_sa::analyze_then(&case.subject.image, case.subject.lib.as_ref(), |a| {
-                    StaticProducts::distill(&a, &capabilities)
+                    StaticProducts::distill(&a, &capabilities, dataflow_hints)
                 })
             }));
             let containment = fault::disarm(token);
@@ -1139,12 +1140,9 @@ pub fn run_study_with(
             }
             let hints = analysis
                 .as_ref()
-                .map(|a| {
-                    if profile.use_dataflow_hints {
-                        a.dataflow_hints.clone()
-                    } else {
-                        a.hints.clone()
-                    }
+                .map(|a| match &a.dataflow_hints {
+                    Some(hints) if profile.use_dataflow_hints => hints.clone(),
+                    _ => a.hints.clone(),
                 })
                 .unwrap_or_default();
             let t1 = std::time::Instant::now();
@@ -1342,8 +1340,9 @@ pub fn run_study_with(
 struct StaticProducts {
     /// Pruning hints for profiles without data-flow hints.
     hints: StaticHints,
-    /// The same hints with the data-flow products armed.
-    dataflow_hints: StaticHints,
+    /// The same hints with the data-flow products armed, built only when
+    /// some profile of the lineup reads them.
+    dataflow_hints: Option<StaticHints>,
     /// Predicted outcome per study profile, in profile order.
     predictions: Vec<Outcome>,
     /// The analyzer's one-line summary, for the progress log.
@@ -1351,10 +1350,14 @@ struct StaticProducts {
 }
 
 impl StaticProducts {
-    fn distill(a: &bomblab_sa::Analysis, capabilities: &[bomblab_sa::Capabilities]) -> Self {
+    fn distill(
+        a: &bomblab_sa::Analysis,
+        capabilities: &[bomblab_sa::Capabilities],
+        dataflow_hints: bool,
+    ) -> Self {
         let hints = StaticHints::from_analysis(a);
         StaticProducts {
-            dataflow_hints: hints.clone().with_dataflow(a),
+            dataflow_hints: dataflow_hints.then(|| hints.clone().with_dataflow(a)),
             hints,
             predictions: capabilities
                 .iter()

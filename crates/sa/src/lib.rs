@@ -192,7 +192,7 @@ fn analyze_inner(exe: &Image, lib: Option<&Image>, profiles: &[Capabilities]) ->
         .iter()
         .map(|c| (c.name.clone(), predict(&facts, c)))
         .collect();
-    let flow = build_dataflow(&code, &graph, &out, profiles);
+    let flow = build_dataflow(&code, &graph, &out);
     for race in &flow.taint.races {
         lint_list.push(Lint {
             kind: LintKind::SharedMemRace {
@@ -226,12 +226,7 @@ fn analyze_inner(exe: &Image, lib: Option<&Image>, profiles: &[Capabilities]) ->
 
 /// Runs the data-flow layer (call graph, def-use, taint closure) on the
 /// final refinement round's CFG and VSA report.
-fn build_dataflow(
-    code: &code::CodeMap,
-    graph: &cfg::Cfg,
-    out: &vsa::VsaOut,
-    _profiles: &[Capabilities],
-) -> Dataflow {
+fn build_dataflow(code: &code::CodeMap, graph: &cfg::Cfg, out: &vsa::VsaOut) -> Dataflow {
     let timer = bomblab_obs::start();
     let cg = callgraph::CallGraph::build(graph);
     if let Some(t0) = timer {

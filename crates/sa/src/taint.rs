@@ -95,6 +95,9 @@ const RACE_CAP: usize = 16;
 
 struct Closure<'a> {
     input: &'a TaintInput<'a>,
+    /// Callee entry -> `(caller entry, call pc)` of its direct call
+    /// sites, in caller then pc order.
+    sites: &'a BTreeMap<u64, Vec<(u64, u64)>>,
     /// Per function entry: (mask, distance) per definition index.
     state: BTreeMap<u64, Vec<(u8, u32)>>,
     work: VecDeque<(u64, usize)>,
@@ -127,27 +130,25 @@ impl<'a> Closure<'a> {
             return;
         }
         self.mem_broadcast |= mask;
-        let entries: Vec<u64> = self.input.flows.keys().copied().collect();
-        for e in entries {
-            if let Some(&d) = self.input.flows[&e].entry_defs.get(&Loc::Mem) {
+        for (&e, flow) in self.input.flows {
+            if let Some(d) = flow.entry_def(Loc::Mem) {
                 self.taint(e, d, mask, dist);
             }
         }
     }
 
     fn run(&mut self) {
+        let input = self.input;
         // Seed from the VSA report.
-        for (&e, flow) in self.input.flows {
-            for (pc, defs) in &flow.insn_defs {
-                if let Some(&mask) = self.input.tainted_defs.get(pc) {
-                    for &d in defs {
-                        self.taint(e, d, mask, 0);
-                    }
+        for (&e, flow) in input.flows {
+            for (&pc, &mask) in input.tainted_defs {
+                for d in flow.insn_defs(pc) {
+                    self.taint(e, d, mask, 0);
                 }
             }
         }
         while let Some((entry, d)) = self.work.pop_front() {
-            let Some(flow) = self.input.flows.get(&entry) else {
+            let Some(flow) = input.flows.get(&entry) else {
                 continue;
             };
             let (mask, dist) = self.state[&entry][d];
@@ -157,9 +158,8 @@ impl<'a> Closure<'a> {
                 // unresolved address, a call, or a syscall.
                 self.broadcast_mem(mask, dist.saturating_add(1));
             }
-            let uses: Vec<u64> = flow.def_uses[d].iter().copied().collect();
-            for use_pc in uses {
-                for &nd in flow.insn_defs.get(&use_pc).into_iter().flatten() {
+            for &use_pc in &flow.def_uses[d] {
+                for nd in flow.insn_defs(use_pc) {
                     self.taint(entry, nd, mask, dist.saturating_add(1));
                 }
                 if let Some(&callee) = flow.calls.get(&use_pc) {
@@ -187,14 +187,11 @@ impl<'a> Closure<'a> {
             return;
         };
         let target = match def_loc {
-            Loc::Reg(i) if (Reg::A0.index()..=Reg::A5.index()).contains(&usize::from(i)) => {
-                cf.entry_defs.get(&Loc::Reg(i)).copied()
-            }
+            Loc::Reg(i) if !(Reg::A0.index()..=Reg::A5.index()).contains(&usize::from(i)) => None,
             // Float arguments pass in float registers (`sin` takes `x`
             // in `f0`); forward every float channel.
-            Loc::FReg(i) => cf.entry_defs.get(&Loc::FReg(i)).copied(),
-            Loc::Mem | Loc::Slot(_) => cf.entry_defs.get(&Loc::Mem).copied(),
-            Loc::Reg(_) => None,
+            Loc::Reg(_) | Loc::FReg(_) => cf.entry_def(def_loc),
+            Loc::Mem | Loc::Slot(_) => cf.entry_def(Loc::Mem),
         };
         if let Some(t) = target {
             self.taint(callee, t, mask, dist.saturating_add(1));
@@ -204,36 +201,11 @@ impl<'a> Closure<'a> {
     /// Backward hop: a tainted return channel (`a0` or `f0`) at `ret`
     /// taints the matching call-site definition in every caller.
     fn cross_return(&mut self, callee: u64, chan: Loc, mask: u8, dist: u32) {
-        let callers: Vec<u64> = self
-            .input
-            .graph
-            .callers
-            .get(&callee)
-            .into_iter()
-            .flatten()
-            .copied()
-            .collect();
-        for caller in callers {
-            let Some(cf) = self.input.flows.get(&caller) else {
-                continue;
-            };
-            let sites: Vec<u64> = cf
-                .calls
-                .iter()
-                .filter(|&(_, &c)| c == Some(callee))
-                .map(|(&pc, _)| pc)
-                .collect();
-            for pc in sites {
-                let ret_def = cf
-                    .insn_defs
-                    .get(&pc)
-                    .into_iter()
-                    .flatten()
-                    .copied()
-                    .find(|&i| cf.defs[i].loc == chan);
-                if let Some(rd) = ret_def {
-                    self.taint(caller, rd, mask, dist.saturating_add(1));
-                }
+        let (input, sites) = (self.input, self.sites);
+        for &(caller, pc) in sites.get(&callee).into_iter().flatten() {
+            let cf = &input.flows[&caller];
+            if let Some(rd) = cf.insn_defs(pc).find(|&i| cf.defs[i].loc == chan) {
+                self.taint(caller, rd, mask, dist.saturating_add(1));
             }
         }
     }
@@ -244,8 +216,19 @@ impl<'a> Closure<'a> {
 #[must_use]
 #[allow(clippy::missing_panics_doc, clippy::too_many_lines)]
 pub fn analyze(input: &TaintInput<'_>) -> StaticTaint {
+    let callers = &input.graph.callers;
+    let mut sites: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+    for (&caller, flow) in input.flows {
+        for (&pc, &callee) in &flow.calls {
+            let known = |c: &u64| callers.get(c).is_some_and(|s| s.contains(&caller));
+            if let Some(callee) = callee.filter(known) {
+                sites.entry(callee).or_default().push((caller, pc));
+            }
+        }
+    }
     let mut cl = Closure {
         input,
+        sites: &sites,
         state: input
             .flows
             .iter()
