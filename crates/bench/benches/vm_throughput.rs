@@ -37,20 +37,6 @@ fn bench(c: &mut Criterion) {
             m.run().steps
         });
     });
-    // Sparse tracing: the taint gate armed with no tainted input at all,
-    // so every step of the loop records as an elided skeleton — the upper
-    // bound on what taint-gated elision can save over `traced`.
-    group.bench_function("loop_200k_steps_traced_sparse", |b| {
-        b.iter(|| {
-            let config = MachineConfig {
-                trace: true,
-                sparse_taint: Some(Vec::new()),
-                ..MachineConfig::default()
-            };
-            let mut m = Machine::load(&image, None, config).unwrap();
-            m.run().steps
-        });
-    });
     // A/B ablation: the same loops with the predecoded block cache off,
     // byte-decoding every step. The `loop_200k_steps` / `nocache` ratio is
     // the dispatch speedup the cache buys.

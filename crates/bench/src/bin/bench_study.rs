@@ -203,10 +203,9 @@ fn render(
     } else {
         "null".to_string()
     };
-    // The stateless paper lineup never reads a cache and records full
-    // trace capture (Table II must not depend on elision); the
-    // incremental Omniscient leg is where the query-cache, shared-cache
-    // and trace-elision counters carry signal.
+    // The stateless paper lineup never reads a cache; the incremental
+    // Omniscient leg is where the query-cache and shared-cache counters
+    // carry signal.
     format!(
         "{{\n  \"bench\": \"study\",\n  \"cores\": {cores},\n  \"bombs\": {},\n  \
          \"profiles\": {},\n  \"sequential_s\": {seq_s:.3},\n  \"parallel_jobs\": {par_jobs},\n  \

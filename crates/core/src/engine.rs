@@ -280,19 +280,21 @@ pub struct Evidence {
     /// Shared-store models rejected by verification (stale or corrupt
     /// entries; counted, never answered from).
     pub shared_cache_rejected: u64,
-    /// Trace steps recorded with full operand capture, summed over rounds.
+    /// Trace steps recorded, summed over rounds. Every step records its
+    /// operands in full.
     pub trace_steps_full: u64,
-    /// Trace steps recorded as elided skeletons by the VM's taint gate
-    /// (zero unless the profile arms `sparse_trace`).
+    /// Always 0: the VM records every step in full. Kept so readers that
+    /// name it (`layerbench`'s `vm.trace_steps_elided`) still build; it is
+    /// not in [`Evidence::counters`].
     pub trace_steps_elided: u64,
-    /// Bytes held by the trace arenas, summed over rounds (capacity, not
-    /// length — the allocation footprint recording actually paid).
+    /// Bytes of recorded trace data, summed over rounds (by length, not
+    /// allocator capacity; see `Trace::arena_bytes`).
     pub trace_arena_bytes: u64,
 }
 
 /// The numeric telemetry of one attempt as `(trace name, value)` pairs;
 /// see [`Evidence::counters`].
-pub type Counters = [(&'static str, u64); 40];
+pub type Counters = [(&'static str, u64); 39];
 
 impl Evidence {
     /// Every numeric telemetry counter, once, under its trace name. Trace
@@ -336,7 +338,6 @@ impl Evidence {
             ("bb_invalidations", self.bb_invalidations),
             ("steps_decoded", self.steps_decoded),
             ("trace_steps_full", self.trace_steps_full),
-            ("trace_steps_elided", self.trace_steps_elided),
             ("trace_arena_bytes", self.trace_arena_bytes),
             ("vm_ns", self.vm_ns),
             ("taint_ns", self.taint_ns),
@@ -578,7 +579,6 @@ pub struct Engine {
     profile: ToolProfile,
     hints: StaticHints,
     shared_cache: Option<std::sync::Arc<ShardCache>>,
-    force_sparse_trace: bool,
     bbcache: bool,
 }
 
@@ -589,18 +589,8 @@ impl Engine {
             profile,
             hints: StaticHints::default(),
             shared_cache: None,
-            force_sparse_trace: false,
             bbcache: true,
         }
-    }
-
-    /// Forces taint-gated trace elision on for every profile it is
-    /// compatible with (A/B runs proving that reports do not depend on
-    /// operand capture). Off by default.
-    #[must_use]
-    pub fn force_sparse_trace(mut self, on: bool) -> Engine {
-        self.force_sparse_trace = on;
-        self
     }
 
     /// Chooses whether the engine's VM runs dispatch through the
@@ -701,23 +691,10 @@ impl Engine {
 
             // 1. Concrete execution with tracing.
             fault::set_stage("vm");
-            let mut config = MachineConfig {
+            let config = MachineConfig {
                 bbcache: self.bbcache,
                 ..input.to_config(true, self.profile.step_budget)
             };
-            // Taint-gated sparse recording: seed the VM's online gate
-            // with the same symbolic ranges the taint engine uses.
-            // `force_sparse_trace` forces elision for every compatible
-            // profile (CI uses it to prove the reports don't depend on
-            // operand capture). A profile that treats library code as
-            // opaque is *not* compatible: its symbolic executor mines
-            // concrete call-argument values out of clean steps to feed
-            // function summaries, and an elided step hides exactly that
-            // data — so elision stays off whenever opaque ranges exist.
-            let opaque_libs = !self.profile.loads_dyn_libs && !lib_ranges.is_empty();
-            if (self.profile.sparse_trace || self.force_sparse_trace) && !opaque_libs {
-                config.sparse_taint = Some(vec![(subject.argv1_addr(), input.argv1.len() as u64)]);
-            }
             let Ok(mut machine) = Machine::load(&subject.image, subject.lib.as_ref(), config)
             else {
                 evidence.abnormal = true;
@@ -760,8 +737,7 @@ impl Engine {
                 evidence.vm_budget = true;
             }
             let full_trace = machine.take_trace();
-            evidence.trace_steps_full += full_trace.full_steps();
-            evidence.trace_steps_elided += full_trace.elided_steps();
+            evidence.trace_steps_full += full_trace.len() as u64;
             evidence.trace_arena_bytes += full_trace.arena_bytes();
 
             // 2. Tool-level aborts: unsupported syscalls, traps.

@@ -112,13 +112,6 @@ pub struct ToolProfile {
     /// flip priorities, slice cross-checks). Off for the paper-tool
     /// presets so Table II stays a faithful 2017-era reproduction.
     pub use_dataflow_hints: bool,
-    /// Arm taint-gated sparse trace recording in the VM: operand capture
-    /// is elided for steps the online taint gate proves clean. Off for the
-    /// paper-tool presets — they keep full capture so Table II and the
-    /// study snapshot stay byte-identical; flip decisions are unaffected
-    /// either way (elided steps are exactly those the downstream engines
-    /// skip).
-    pub sparse_trace: bool,
 }
 
 impl ToolProfile {
@@ -164,7 +157,6 @@ impl ToolProfile {
             step_budget: 2_000_000,
             max_rounds: 24,
             use_dataflow_hints: false,
-            sparse_trace: false,
         }
     }
 
@@ -203,7 +195,6 @@ impl ToolProfile {
             step_budget: 2_000_000,
             max_rounds: 24,
             use_dataflow_hints: false,
-            sparse_trace: false,
         }
     }
 
@@ -242,7 +233,6 @@ impl ToolProfile {
             step_budget: 2_000_000,
             max_rounds: 24,
             use_dataflow_hints: false,
-            sparse_trace: false,
         }
     }
 
@@ -301,7 +291,6 @@ impl ToolProfile {
             step_budget: 4_000_000,
             max_rounds: 48,
             use_dataflow_hints: true,
-            sparse_trace: true,
         }
     }
 

@@ -134,10 +134,6 @@ pub struct StudyOptions {
     /// Stateless paper-tool profiles never attach it, so Table II stays
     /// byte-identical with this on or off. On by default.
     pub shared_cache: bool,
-    /// Force taint-gated trace elision on for every profile it is
-    /// compatible with, as an A/B check that reports do not depend on
-    /// operand capture (`bomblab study --sparse-trace`). Off by default.
-    pub sparse_trace: bool,
     /// Dispatch the VM runs of ground truth and the cells through the
     /// predecoded block cache; off is the decode-per-step A/B leg
     /// (`bomblab study --no-bbcache`). On by default.
@@ -159,7 +155,6 @@ impl Default for StudyOptions {
             checkpoint: None,
             resume: false,
             shared_cache: true,
-            sparse_trace: false,
             bbcache: true,
         }
     }
@@ -1170,7 +1165,6 @@ pub fn run_study_with(
                         Engine::new(profile.clone())
                             .with_static_hints(hints.clone())
                             .with_shared_cache(shared_cache.clone())
-                            .force_sparse_trace(options.sparse_trace)
                             .with_bbcache(options.bbcache)
                             .explore(&case.subject, ground)
                     }));

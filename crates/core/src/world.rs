@@ -56,9 +56,6 @@ impl WorldInput {
             step_budget,
             quantum: 64,
             trace,
-            // Full capture by default; the engine arms taint-gated elision
-            // separately for profiles that opt in.
-            sparse_taint: None,
             bbcache: true,
         }
     }
@@ -159,6 +156,5 @@ mod tests {
         assert!(config.trace);
         assert_eq!(config.step_budget, 1234);
         assert!(config.bbcache, "cached dispatch is the default");
-        assert!(config.sparse_taint.is_none(), "full capture is the default");
     }
 }

@@ -341,7 +341,11 @@ impl Solver {
     /// conditions that formerly panicked mid-study.
     pub fn try_check(&self, constraints: &[Term]) -> Result<SolveOutcome, SolverError> {
         let timer = bomblab_obs::start();
-        let out = self.check_impl(constraints);
+        // Every query reports its own stats, an early return or an injected
+        // fault included, never the last query's.
+        let mut stats = SolveStats::default();
+        let out = self.check_impl(constraints, &mut stats);
+        self.stats.set(stats);
         if let Some(t0) = timer {
             self.record_query(&out, t0.elapsed().as_nanos() as u64);
         }
@@ -397,9 +401,11 @@ impl Solver {
         });
     }
 
-    fn check_impl(&self, constraints: &[Term]) -> Result<SolveOutcome, SolverError> {
-        // An injected fault answers with empty stats, not the last query's.
-        self.stats.set(SolveStats::default());
+    fn check_impl(
+        &self,
+        constraints: &[Term],
+        stats: &mut SolveStats,
+    ) -> Result<SolveOutcome, SolverError> {
         // Fault-injection point: one hit per query. Inert (one relaxed
         // atomic load) unless a chaos plan is armed on this thread.
         if let Some(action) = bomblab_fault::fault_point(bomblab_fault::FaultSite::SolverQuery) {
@@ -411,7 +417,6 @@ impl Solver {
                 _ => return Ok(SolveOutcome::Unknown(UnknownReason::FaultInjected)),
             }
         }
-        let mut stats = SolveStats::default();
         // Constant pre-solving. The interval pre-solve over the *original*
         // constraints only runs on the raw (`no_simplify`) path: with the
         // optimizer on, the memoized stage-2 prune below performs the same
@@ -422,20 +427,15 @@ impl Solver {
         for c in constraints {
             match c.as_bool_const() {
                 Some(true) => continue,
-                Some(false) => {
-                    self.stats.set(stats);
-                    return Ok(SolveOutcome::Unsat);
-                }
+                Some(false) => return Ok(SolveOutcome::Unsat),
                 None => {}
             }
             if self.no_simplify && interval::definitely_false(c) {
-                self.stats.set(stats);
                 return Ok(SolveOutcome::Unsat);
             }
             live.push(c.clone());
         }
         if live.is_empty() {
-            self.stats.set(stats);
             return Ok(SolveOutcome::Sat(Model::default()));
         }
 
@@ -454,7 +454,6 @@ impl Solver {
         }
         stats.formula_nodes = total_nodes;
         if total_nodes > node_budget {
-            self.stats.set(stats);
             return Ok(SolveOutcome::Unknown(UnknownReason::FormulaTooLarge));
         }
 
@@ -482,7 +481,6 @@ impl Solver {
             stats.simplify_hits = sstats.memo_hits;
             stats.simplify_ns = t0.elapsed().as_nanos() as u64;
             if decided_unsat {
-                self.stats.set(stats);
                 return Ok(SolveOutcome::Unsat);
             }
             live = simplified;
@@ -495,14 +493,12 @@ impl Solver {
                     interval::Pruned::True => stats.terms_pruned += 1,
                     interval::Pruned::False => {
                         stats.interval_ns = t1.elapsed().as_nanos() as u64;
-                        self.stats.set(stats);
                         return Ok(SolveOutcome::Unsat);
                     }
                     interval::Pruned::Kept(k) => match k.as_bool_const() {
                         Some(true) => stats.terms_pruned += 1,
                         Some(false) => {
                             stats.interval_ns = t1.elapsed().as_nanos() as u64;
-                            self.stats.set(stats);
                             return Ok(SolveOutcome::Unsat);
                         }
                         None => kept.push(k),
@@ -513,7 +509,6 @@ impl Solver {
             live = kept;
             if live.is_empty() {
                 // Every constraint was a tautology: any assignment works.
-                self.stats.set(stats);
                 return Ok(SolveOutcome::Sat(zero_model(&original)));
             }
         }
@@ -523,8 +518,7 @@ impl Solver {
             // paths (shortcut / local search) and are never sliced: the
             // shortcut's validity depends on validating *all* constraints
             // together under one proposal.
-            if let Some(out) = self.lookup(&live, None, &mut stats) {
-                self.stats.set(stats);
+            if let Some(out) = self.lookup(&live, None, stats) {
                 return Ok(out);
             }
             let out = match self.float_mode {
@@ -544,8 +538,7 @@ impl Solver {
                     None => float_local_search(&live),
                 },
             };
-            self.remember(&live, &out, None, &mut stats);
-            self.stats.set(stats);
+            self.remember(&live, &out, None, stats);
             return Ok(out);
         }
 
@@ -573,11 +566,10 @@ impl Solver {
                 .shared
                 .is_some()
                 .then(|| shardcache::slice_key(slice_terms));
-            let out = self.lookup(slice_terms, shared_key, &mut stats);
+            let out = self.lookup(slice_terms, shared_key, stats);
             match out {
                 Some(SolveOutcome::Unsat) => {
                     // Unsat wins over any Unknown from an earlier slice.
-                    self.stats.set(stats);
                     return Ok(SolveOutcome::Unsat);
                 }
                 Some(SolveOutcome::Unknown(r)) => {
@@ -600,13 +592,12 @@ impl Solver {
                     WitnessVerdict::Sat(m) => {
                         stats.witness_hits += 1;
                         merged.values.extend(m.iter().map(|(n, v)| (n.clone(), *v)));
-                        self.remember(slice_terms, &SolveOutcome::Sat(m), shared_key, &mut stats);
+                        self.remember(slice_terms, &SolveOutcome::Sat(m), shared_key, stats);
                     }
                     WitnessVerdict::Unsat => {
                         stats.witness_hits += 1;
-                        self.remember(slice_terms, &SolveOutcome::Unsat, None, &mut stats);
+                        self.remember(slice_terms, &SolveOutcome::Unsat, None, stats);
                         stats.interval_ns += t3.elapsed().as_nanos() as u64;
-                        self.stats.set(stats);
                         return Ok(SolveOutcome::Unsat);
                     }
                     WitnessVerdict::Miss => still_missed.push((slice_terms, shared_key)),
@@ -623,14 +614,13 @@ impl Solver {
             // batching keeps the solve count (and the conflict budget's
             // meaning) identical to the unsliced pipeline.
             let union: Vec<Term> = missed.iter().flat_map(|(s, _)| s.iter().cloned()).collect();
-            match self.solve_slice(&union, &mut stats)? {
+            match self.solve_slice(&union, stats)? {
                 SolveOutcome::Unsat => {
                     // Which member of a batched union caused the unsat is
                     // unattributed, so only a lone slice is remembered.
                     if let [(slice_terms, _)] = missed[..] {
-                        self.remember(slice_terms, &SolveOutcome::Unsat, None, &mut stats);
+                        self.remember(slice_terms, &SolveOutcome::Unsat, None, stats);
                     }
-                    self.stats.set(stats);
                     return Ok(SolveOutcome::Unsat);
                 }
                 SolveOutcome::Unknown(r) => {
@@ -649,13 +639,12 @@ impl Solver {
                                 sub.values.insert(var.name.clone(), *v);
                             }
                         }
-                        self.remember(slice_terms, &SolveOutcome::Sat(sub), shared_key, &mut stats);
+                        self.remember(slice_terms, &SolveOutcome::Sat(sub), shared_key, stats);
                     }
                     merged.values.extend(m.values);
                 }
             }
         }
-        self.stats.set(stats);
         if let Some(r) = first_unknown {
             return Ok(SolveOutcome::Unknown(r));
         }
@@ -1124,6 +1113,55 @@ mod tests {
             tiny.check(&[c]),
             SolveOutcome::Unknown(UnknownReason::FormulaTooLarge)
         );
+    }
+
+    #[test]
+    fn early_returns_report_their_own_stats_after_a_cdcl_query() {
+        let s = Solver::new().with_budget(SolverBudget {
+            max_conflicts: 10_000,
+            max_formula_nodes: 6,
+        });
+        let x = Term::var("x", 32);
+        let product = Term::bin(BvOp::Mul, &x, &Term::var("y", 32));
+        let cdcl = Term::cmp(CmpOp::Eq, &product, &Term::bv(77, 32));
+        assert!(matches!(s.check(&[cdcl]), SolveOutcome::Sat(_)));
+        assert!(s.stats().sat_vars > 0, "the first query reached CDCL");
+
+        // Constant false: decided before any stage runs.
+        assert_eq!(s.check(&[Term::bool(false)]), SolveOutcome::Unsat);
+        assert_eq!(s.stats(), SolveStats::default());
+
+        // Over the node budget: only the node count is set.
+        let sum = Term::bin(BvOp::Add, &product, &Term::var("z", 32));
+        let big = Term::cmp(
+            CmpOp::Eq,
+            &Term::bin(BvOp::Xor, &sum, &Term::var("w", 32)),
+            &Term::bv(77, 32),
+        );
+        assert_eq!(
+            s.check(&[big]),
+            SolveOutcome::Unknown(UnknownReason::FormulaTooLarge)
+        );
+        let stats = s.stats();
+        assert!(stats.formula_nodes > 6);
+        assert_eq!(
+            stats,
+            SolveStats {
+                formula_nodes: stats.formula_nodes,
+                ..SolveStats::default()
+            }
+        );
+
+        // Every constraint a tautology: pruned, never sliced or blasted.
+        let masked = Term::bin(BvOp::And, &x, &Term::bv(3, 32));
+        let taut = Term::cmp(CmpOp::Ult, &masked, &Term::bv(4, 32));
+        assert!(matches!(s.check(&[taut]), SolveOutcome::Sat(_)));
+        let stats = s.stats();
+        assert_eq!(stats.terms_pruned, 1);
+        assert_eq!(stats.slices, 0);
+        assert_eq!((stats.sat_vars, stats.sat_clauses), (0, 0));
+        assert_eq!((stats.conflicts, stats.propagations), (0, 0));
+        assert_eq!(stats.roots_blasted, 0);
     }
 
     #[test]

@@ -432,14 +432,6 @@ impl SymExec {
                     self.sfpr.insert((step.pid, step.tid), fpr);
                 }
             }
-            // Sparse traces elide operand capture for steps the VM's taint
-            // gate proved clean: no symbolic value can flow through them
-            // (the gate's shadow over-approximates ours), they never write
-            // memory, and their branch conditions are concrete — so the
-            // replay state is unaffected. Skip them wholesale.
-            if step.elided {
-                continue;
-            }
             // Opaque (unloaded-library) code: mirror concrete effects only.
             let key = (step.pid, step.tid);
             let opaque_now = self.in_opaque_range(step.pc);
@@ -861,9 +853,7 @@ impl SymExec {
                     self.concrete_address_load(step.pid, acc.addr, *width, acc.value)
                 };
                 // A fully concrete result is NOT tracked symbolically: the
-                // trace's recorded operands already carry the value, and a
-                // constant register entry would go stale across steps the
-                // taint gate elides (their writes are invisible here).
+                // trace's recorded operands already carry the value.
                 let value = match loaded {
                     Some(sv) if sv.term.as_const().is_none() => {
                         let term = extend(&sv.term, *width, *sext);

@@ -246,12 +246,6 @@ impl TaintEngine {
                     self.threads.insert((step.pid, step.tid), seed);
                 }
             }
-            // Sparse traces elide operand capture for steps the VM's taint
-            // gate proved clean; the gate's shadow is a superset of ours,
-            // so such steps can never touch taint here.
-            if step.elided {
-                continue;
-            }
             let mut step_touches_taint = false;
 
             // Syscalls are handled from their records.

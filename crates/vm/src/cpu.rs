@@ -6,7 +6,7 @@
 //! owns those.
 
 use crate::mem::Memory;
-use crate::trace::{Capture, MemAccess, Trace};
+use crate::trace::{MemAccess, Trace};
 use bomblab_isa::{trap, DecodeError, Insn, Opcode, Reg};
 
 /// Architectural register state of one thread.
@@ -76,9 +76,8 @@ pub enum Effect {
     Trap(Fault),
 }
 
-/// The recording target of one step: the trace arena plus the capture
-/// level the machine's taint gate selected for this instruction.
-pub type Recorder<'a> = Option<(&'a mut Trace, Capture)>;
+/// The recording target of one step: the trace arena, when tracing.
+pub type Recorder<'a> = Option<&'a mut Trace>;
 
 /// Result of stepping one instruction: the effect plus the arena index of
 /// the recorded step (present when a recorder was supplied, even for
@@ -109,8 +108,8 @@ pub fn step(
         Ok(insn) => exec(insn, regs, mem, pid, tid, rec),
         Err(fault) => StepOutcome {
             effect: Effect::Trap(fault),
-            step: rec.map(|(t, capture)| {
-                let idx = t.begin_step(pid, tid, pc, Insn::Nop, capture);
+            step: rec.map(|t| {
+                let idx = t.begin_step(pid, tid, pc, Insn::Nop);
                 t.set_trap(fault.cause);
                 idx
             }),
@@ -169,24 +168,14 @@ pub fn exec(
     let pc = regs.pc;
     let len = insn.len() as u64;
     let next = pc.wrapping_add(len);
-    // `full` gates operand recording; branch direction and traps are
-    // recorded even for skeleton steps.
-    let mut full = false;
-    let mut tr: Option<&mut Trace> = None;
-    let step = rec.map(|(t, capture)| {
-        full = capture == Capture::Full;
-        let idx = t.begin_step(pid, tid, pc, insn, capture);
-        tr = Some(t);
-        idx
-    });
+    let mut tr = rec;
+    let step = tr.as_mut().map(|t| t.begin_step(pid, tid, pc, insn));
 
     macro_rules! rr {
         ($r:expr) => {{
             let v = regs.get($r);
-            if full {
-                if let Some(t) = tr.as_mut() {
-                    t.push_reg_read($r, v);
-                }
+            if let Some(t) = tr.as_mut() {
+                t.push_reg_read($r, v);
             }
             v
         }};
@@ -195,21 +184,17 @@ pub fn exec(
         ($r:expr, $v:expr) => {{
             let v: u64 = $v;
             regs.set($r, v);
-            if full {
-                if let Some(t) = tr.as_mut() {
-                    // Record the architecturally visible value (r0 stays 0).
-                    t.push_reg_write($r, regs.get($r));
-                }
+            if let Some(t) = tr.as_mut() {
+                // Record the architecturally visible value (r0 stays 0).
+                t.push_reg_write($r, regs.get($r));
             }
         }};
     }
     macro_rules! fr {
         ($r:expr) => {{
             let v = regs.fpr[$r.index()];
-            if full {
-                if let Some(t) = tr.as_mut() {
-                    t.push_freg_read($r, v);
-                }
+            if let Some(t) = tr.as_mut() {
+                t.push_freg_read($r, v);
             }
             v
         }};
@@ -218,10 +203,8 @@ pub fn exec(
         ($r:expr, $v:expr) => {{
             let v: f64 = $v;
             regs.fpr[$r.index()] = v;
-            if full {
-                if let Some(t) = tr.as_mut() {
-                    t.push_freg_write($r, v);
-                }
+            if let Some(t) = tr.as_mut() {
+                t.push_freg_write($r, v);
             }
         }};
     }
@@ -245,14 +228,12 @@ pub fn exec(
             let addr: u64 = $addr;
             match mem.read_uint(addr, $w) {
                 Ok(v) => {
-                    if full {
-                        if let Some(t) = tr.as_mut() {
-                            t.set_mem_read(MemAccess {
-                                addr,
-                                value: v,
-                                width: $w,
-                            });
-                        }
+                    if let Some(t) = tr.as_mut() {
+                        t.set_mem_read(MemAccess {
+                            addr,
+                            value: v,
+                            width: $w,
+                        });
                     }
                     v
                 }
@@ -266,14 +247,12 @@ pub fn exec(
             let v: u64 = $v;
             match mem.write_uint(addr, v, $w) {
                 Ok(()) => {
-                    if full {
-                        if let Some(t) = tr.as_mut() {
-                            t.set_mem_write(MemAccess {
-                                addr,
-                                value: v,
-                                width: $w,
-                            });
-                        }
+                    if let Some(t) = tr.as_mut() {
+                        t.set_mem_write(MemAccess {
+                            addr,
+                            value: v,
+                            width: $w,
+                        });
                     }
                 }
                 Err(f) => trap!(trap::BAD_MEM, Some(f.addr)),
@@ -547,7 +526,7 @@ mod tests {
     /// Executes with full tracing and returns the recorded step.
     fn run(insn: Insn, regs: &mut Regs, mem: &mut Memory) -> (StepOutcome, TraceStep) {
         let mut trace = Trace::new();
-        let out = exec(insn, regs, mem, 0, 0, Some((&mut trace, Capture::Full)));
+        let out = exec(insn, regs, mem, 0, 0, Some(&mut trace));
         let idx = out.step.expect("tracing was on");
         (out, trace.step(idx as usize))
     }
@@ -905,32 +884,5 @@ mod tests {
         );
         assert_eq!(t.reg_reads, vec![(Reg::A0, 3), (Reg::A1, 4)]);
         assert_eq!(t.reg_writes, vec![(Reg::A2, 7)]);
-    }
-
-    #[test]
-    fn skeleton_capture_keeps_branch_direction_only() {
-        let (mut regs, mut mem) = setup();
-        regs.set(Reg::A0, 5);
-        regs.set(Reg::A1, 5);
-        let mut trace = Trace::new();
-        let out = exec(
-            Insn::Branch {
-                op: Opcode::Beq,
-                rs: Reg::A0,
-                rt: Reg::A1,
-                rel: 100,
-            },
-            &mut regs,
-            &mut mem,
-            0,
-            0,
-            Some((&mut trace, Capture::Skeleton)),
-        );
-        assert_eq!(regs.pc, 0x1000 + 100, "semantics identical to full");
-        let v = trace.view(out.step.unwrap() as usize);
-        assert!(v.elided);
-        assert_eq!(v.taken, Some(true));
-        assert!(v.reg_reads.is_empty(), "operands elided");
-        assert_eq!(trace.elided_steps(), 1);
     }
 }

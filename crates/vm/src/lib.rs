@@ -48,7 +48,6 @@
 
 pub mod bbcache;
 pub mod cpu;
-mod gate;
 pub mod machine;
 pub mod mem;
 pub mod os;
@@ -62,6 +61,5 @@ pub use machine::{
 pub use mem::{MemFault, Memory};
 pub use os::{Fd, Os};
 pub use trace::{
-    Capture, InputSource, MemAccess, OutputSink, StepView, Steps, SysEffect, SyscallRecord, Trace,
-    TraceStep,
+    InputSource, MemAccess, OutputSink, StepView, Steps, SysEffect, SyscallRecord, Trace, TraceStep,
 };

@@ -7,10 +7,9 @@
 
 use crate::bbcache::{self, BbStats, BlockCache, MicroOp};
 use crate::cpu::{self, Effect, Recorder, Regs, StepOutcome};
-use crate::gate::TaintGate;
 use crate::mem::{MemFault, Memory};
 use crate::os::{Fd, Os, O_RDONLY, O_RDWR, O_WRONLY};
-use crate::trace::{Capture, InputSource, OutputSink, SysEffect, SyscallRecord, Trace};
+use crate::trace::{InputSource, OutputSink, SysEffect, SyscallRecord, Trace};
 use bomblab_fault::{check_deadline, fault_point, trip_stall, FaultAction, FaultSite};
 use bomblab_isa::image::{layout, Image, ImageError};
 use bomblab_isa::{sys, Insn, Reg};
@@ -45,12 +44,6 @@ pub struct MachineConfig {
     pub quantum: u32,
     /// Record a full instruction trace.
     pub trace: bool,
-    /// Pre-tainted guest byte ranges `(base, len)` for the online taint
-    /// gate. `Some` arms taint-gated sparse recording: steps provably
-    /// untouched by tainted data are recorded as pc/branch skeletons with
-    /// operand capture elided. `None` (the default) keeps full capture —
-    /// paper-faithful profiles rely on this. Only meaningful with `trace`.
-    pub sparse_taint: Option<Vec<(u64, u64)>>,
     /// Dispatch through the shared predecoded basic-block cache
     /// ([`crate::bbcache`]). Disable for A/B runs against the
     /// decode-per-step path (`bomblab study --no-bbcache`).
@@ -69,7 +62,6 @@ impl Default for MachineConfig {
             step_budget: 5_000_000,
             quantum: 64,
             trace: false,
-            sparse_taint: None,
             bbcache: true,
         }
     }
@@ -276,8 +268,6 @@ pub struct Machine {
     quantum: u32,
     tracing: bool,
     trace: Trace,
-    /// Online taint shadow for sparse recording (`None` = full capture).
-    gate: Option<TaintGate>,
     stdin: Vec<u8>,
     next_pid: u32,
     next_tid: u32,
@@ -435,11 +425,6 @@ impl Machine {
             BlockCache::for_regions(&regions)
         });
 
-        let gate = match (&config.sparse_taint, config.trace) {
-            (Some(ranges), true) => Some(TaintGate::new(ROOT_PID, ranges)),
-            _ => None,
-        };
-
         Ok(Machine {
             os,
             procs: [(ROOT_PID, root)].into_iter().collect(),
@@ -450,7 +435,6 @@ impl Machine {
             quantum: config.quantum.max(1),
             tracing: config.trace,
             trace: Trace::new(),
-            gate,
             stdin: config.stdin,
             next_pid: ROOT_PID + 1,
             next_tid: 2,
@@ -738,10 +722,6 @@ impl Machine {
             self.note_code_write(addr, sc.width as u64);
         }
         self.bb_stats.bb_hits += 1;
-        let capture = match self.gate.as_mut() {
-            Some(g) => g.capture(pid, tid, &op.insn),
-            None => Capture::Full,
-        };
         let proc = self
             .procs
             .get_mut(&pid)
@@ -750,11 +730,7 @@ impl Machine {
             .threads
             .get_mut(&tid)
             .ok_or(MachineError::DeadThread { pid, tid })?;
-        let rec: Recorder<'_> = if self.tracing {
-            Some((&mut self.trace, capture))
-        } else {
-            None
-        };
+        let rec: Recorder<'_> = self.tracing.then_some(&mut self.trace);
         Ok(cpu::exec(
             op.insn,
             &mut thread.regs,
@@ -794,10 +770,6 @@ impl Machine {
                 if let Some((addr, len)) = write {
                     self.note_code_write(addr, len);
                 }
-                let capture = match self.gate.as_mut() {
-                    Some(g) => g.capture(pid, tid, &insn),
-                    None => Capture::Full,
-                };
                 let proc = self
                     .procs
                     .get_mut(&pid)
@@ -806,11 +778,7 @@ impl Machine {
                     .threads
                     .get_mut(&tid)
                     .ok_or(MachineError::DeadThread { pid, tid })?;
-                let rec: Recorder<'_> = if self.tracing {
-                    Some((&mut self.trace, capture))
-                } else {
-                    None
-                };
+                let rec: Recorder<'_> = self.tracing.then_some(&mut self.trace);
                 return Ok(cpu::exec(
                     insn,
                     &mut thread.regs,
@@ -829,13 +797,7 @@ impl Machine {
             .threads
             .get_mut(&tid)
             .ok_or(MachineError::DeadThread { pid, tid })?;
-        // The instruction is unknown before the fetch, so the gate cannot
-        // pre-approve a skeleton — record fully (always sound).
-        let rec: Recorder<'_> = if self.tracing {
-            Some((&mut self.trace, Capture::Full))
-        } else {
-            None
-        };
+        let rec: Recorder<'_> = self.tracing.then_some(&mut self.trace);
         Ok(cpu::step(&mut thread.regs, &mut proc.mem, pid, tid, rec))
     }
 
@@ -923,26 +885,10 @@ impl Machine {
                 cur.next = next;
                 cur.next_pc = op.pc.wrapping_add(u64::from(op.len));
                 self.bb_stats.bb_hits += 1;
-                let capture = match self.gate.as_mut() {
-                    Some(g) => g.capture(pid, tid, &op.insn),
-                    None => Capture::Full,
-                };
-                let rec: Recorder<'_> = if self.tracing {
-                    Some((&mut self.trace, capture))
-                } else {
-                    None
-                };
+                let rec: Recorder<'_> = self.tracing.then_some(&mut self.trace);
                 let outcome = cpu::exec(op.insn, &mut thread.regs, &mut proc.mem, pid, tid, rec);
                 match outcome.effect {
-                    Effect::Continue => {
-                        ran += 1;
-                        if let (Some(g), Some(idx)) = (self.gate.as_mut(), outcome.step) {
-                            let view = self.trace.view(idx as usize);
-                            if !view.elided && g.observe(view) {
-                                self.trace.demote_last();
-                            }
-                        }
-                    }
+                    Effect::Continue => ran += 1,
                     _ => {
                         // The settling instruction is accounted separately
                         // (`ran` only counts plain-continue steps, so the
@@ -1018,12 +964,8 @@ impl Machine {
         outcome: StepOutcome,
     ) -> Result<ThreadStep, MachineError> {
         match outcome.effect {
-            Effect::Continue => {
-                self.gate_observe(outcome.step);
-                Ok(ThreadStep::Ran)
-            }
+            Effect::Continue => Ok(ThreadStep::Ran),
             Effect::Halt => {
-                self.gate_observe(outcome.step);
                 let code = self
                     .procs
                     .get(&pid)
@@ -1035,7 +977,6 @@ impl Machine {
                 Ok(ThreadStep::Died)
             }
             Effect::Trap(fault) => {
-                self.gate_observe(outcome.step);
                 let proc = self
                     .procs
                     .get_mut(&pid)
@@ -1071,20 +1012,6 @@ impl Machine {
                 }
             }
             Effect::Sys => self.handle_syscall(pid, tid, outcome.step),
-        }
-    }
-
-    /// Advances the taint gate past a recorded non-`sys` step and demotes
-    /// the step to a skeleton when nothing tainted flowed through it. The
-    /// step is always the most recently recorded one (nothing records
-    /// between execution and settling).
-    fn gate_observe(&mut self, step: Option<u32>) {
-        let (Some(gate), Some(idx)) = (self.gate.as_mut(), step) else {
-            return;
-        };
-        let view = self.trace.view(idx as usize);
-        if !view.elided && gate.observe(view) {
-            self.trace.demote_last();
         }
     }
 
@@ -1164,9 +1091,6 @@ impl Machine {
                         ret,
                         effect,
                     };
-                    if let Some(g) = self.gate.as_mut() {
-                        g.observe_syscall(pid, tid, &record);
-                    }
                     self.trace.attach_sys(idx, record);
                 }
                 let died = !self

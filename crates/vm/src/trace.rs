@@ -2,19 +2,14 @@
 //!
 //! The trace is stored as a flat **arena**: one contiguous step table
 //! ([`StepRec`], private) plus side arenas for register/float operands,
-//! memory accesses, and the rare payloads (syscalls, traps). Recording a
-//! step is a handful of bump-pointer appends with zero steady-state heap
-//! allocation, which keeps traced runs close to untraced speed.
+//! memory accesses, and the rare payloads (syscalls, traps). Every step
+//! records every operand value. Recording a step is a handful of
+//! bump-pointer appends with zero steady-state heap allocation, which
+//! keeps traced runs close to untraced speed.
 //!
 //! Consumers read steps through [`StepView`], a cheap `Copy` view whose
 //! fields mirror the legacy [`TraceStep`] struct (which survives as an
 //! owned materialization for tests and differential harnesses).
-//!
-//! Steps come in two capture levels ([`Capture`]): `Full` records every
-//! operand value; `Skeleton` records only the pc/branch/trap skeleton.
-//! Skeleton ("elided") steps are produced by the taint gate for
-//! instructions that provably touch no symbolic data — the taint and
-//! symbolic replay stages skip them entirely.
 
 use bomblab_isa::{FReg, Insn, Reg};
 
@@ -129,16 +124,6 @@ pub struct SyscallRecord {
     pub effect: SysEffect,
 }
 
-/// How much of a step the trace captures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Capture {
-    /// Record every operand value (the legacy behaviour).
-    Full,
-    /// Record only pc/insn/branch-direction/trap — the step is marked
-    /// *elided* and the taint/symbolic stages skip it.
-    Skeleton,
-}
-
 /// One executed instruction with everything it observed and did — the
 /// legacy owned representation, materialized on demand from the arena
 /// (see [`StepView::to_step`]). The rare syscall payload is boxed so the
@@ -226,9 +211,6 @@ pub struct StepView<'a> {
     pub sys: Option<&'a SyscallRecord>,
     /// Trap cause if this instruction trapped.
     pub trap: Option<u64>,
-    /// Whether operand capture was elided (skeleton step). Elided steps
-    /// never carry operands, memory accesses, or syscalls.
-    pub elided: bool,
 }
 
 impl StepView<'_> {
@@ -259,7 +241,6 @@ const F_MEM_READ: u8 = 1 << 2;
 const F_MEM_WRITE: u8 = 1 << 3;
 const F_SYS: u8 = 1 << 4;
 const F_TRAP: u8 = 1 << 5;
-const F_ELIDED: u8 = 1 << 6;
 
 /// One row of the step table: fixed-size, operands live in side arenas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -290,8 +271,6 @@ pub struct Trace {
     /// Rare payloads, keyed by step index, sorted by construction.
     sys: Vec<(u32, SyscallRecord)>,
     traps: Vec<(u32, u64)>,
-    full_steps: u64,
-    elided_steps: u64,
 }
 
 impl Trace {
@@ -310,16 +289,6 @@ impl Trace {
         self.steps.is_empty()
     }
 
-    /// Steps recorded with full operand capture.
-    pub fn full_steps(&self) -> u64 {
-        self.full_steps
-    }
-
-    /// Steps recorded as elided skeletons.
-    pub fn elided_steps(&self) -> u64 {
-        self.elided_steps
-    }
-
     /// Bytes held by the step table and side arenas (by length, not
     /// capacity — the recorded data, not the allocator's slack).
     pub fn arena_bytes(&self) -> u64 {
@@ -336,18 +305,8 @@ impl Trace {
 
     /// Starts a new step, returning its index. Operand pushes and flag
     /// setters below always target the *last* started step.
-    pub fn begin_step(&mut self, pid: u32, tid: u32, pc: u64, insn: Insn, capture: Capture) -> u32 {
+    pub fn begin_step(&mut self, pid: u32, tid: u32, pc: u64, insn: Insn) -> u32 {
         let idx = self.steps.len() as u32;
-        let flags = match capture {
-            Capture::Full => {
-                self.full_steps += 1;
-                0
-            }
-            Capture::Skeleton => {
-                self.elided_steps += 1;
-                F_ELIDED
-            }
-        };
         self.steps.push(StepRec {
             pc,
             insn,
@@ -360,7 +319,7 @@ impl Trace {
             reg_writes: 0,
             freg_reads: 0,
             freg_writes: 0,
-            flags,
+            flags: 0,
         });
         idx
     }
@@ -432,8 +391,7 @@ impl Trace {
         }
     }
 
-    /// Records the trap cause of the last step. Survives demotion: the
-    /// engine scans the full trace for trap edges.
+    /// Records the trap cause of the last step.
     pub fn set_trap(&mut self, cause: u64) {
         if let Some(rec) = self.steps.last_mut() {
             rec.flags |= F_TRAP;
@@ -470,39 +428,11 @@ impl Trace {
         while self.traps.last().is_some_and(|e| e.0 == idx) {
             self.traps.pop();
         }
-        if rec.flags & F_ELIDED != 0 {
-            self.elided_steps -= 1;
-        } else {
-            self.full_steps -= 1;
-        }
-    }
-
-    /// Demotes the last step to an elided skeleton, releasing its operand
-    /// arena entries. The trap cause (if any) is kept; the caller (the
-    /// taint gate) guarantees the step has no memory write and no syscall.
-    pub fn demote_last(&mut self) {
-        let Some(rec) = self.steps.last_mut() else {
-            return;
-        };
-        if rec.flags & F_ELIDED != 0 {
-            return;
-        }
-        debug_assert_eq!(rec.flags & (F_MEM_WRITE | F_SYS), 0, "unsound demotion");
-        self.reg_ops.truncate(rec.reg_start as usize);
-        self.freg_ops.truncate(rec.freg_start as usize);
-        self.mem_ops.truncate(rec.mem_start as usize);
-        rec.reg_reads = 0;
-        rec.reg_writes = 0;
-        rec.freg_reads = 0;
-        rec.freg_writes = 0;
-        rec.flags = (rec.flags & !F_MEM_READ) | F_ELIDED;
-        self.full_steps -= 1;
-        self.elided_steps += 1;
     }
 
     /// Appends a legacy step (test builders, trace filtering).
     pub fn push_step(&mut self, step: &TraceStep) {
-        let idx = self.begin_step(step.pid, step.tid, step.pc, step.insn, Capture::Full);
+        let idx = self.begin_step(step.pid, step.tid, step.pc, step.insn);
         for &(r, v) in &step.reg_reads {
             self.push_reg_read(r, v);
         }
@@ -533,12 +463,7 @@ impl Trace {
     }
 
     fn append_view(&mut self, v: StepView<'_>) {
-        let capture = if v.elided {
-            Capture::Skeleton
-        } else {
-            Capture::Full
-        };
-        let idx = self.begin_step(v.pid, v.tid, v.pc, v.insn, capture);
+        let idx = self.begin_step(v.pid, v.tid, v.pc, v.insn);
         for &(r, val) in v.reg_reads {
             self.push_reg_read(r, val);
         }
@@ -629,7 +554,6 @@ impl Trace {
                     .expect("F_TRAP implies a side-table entry");
                 self.traps[i].1
             }),
-            elided: rec.flags & F_ELIDED != 0,
         }
     }
 
@@ -745,13 +669,10 @@ mod tests {
         t.push_step(&trap_step);
 
         assert_eq!(t.to_steps(), vec![s.clone(), sys_step, trap_step]);
-        assert_eq!(t.full_steps(), 3);
-        assert_eq!(t.elided_steps(), 0);
         let v = t.view(0);
         assert_eq!(v.reg_reads, &[(Reg::A0, 3), (Reg::A1, 4)]);
         assert_eq!(v.reg_writes, &[(Reg::A2, 7)]);
         assert_eq!(v.taken, Some(true));
-        assert!(!v.elided);
         assert_eq!(t.view(1).sys.unwrap().num, 3);
         assert_eq!(t.view(2).trap, Some(2));
         assert_eq!(t.pc_at(2), 0x18);
@@ -759,35 +680,13 @@ mod tests {
     }
 
     #[test]
-    fn demote_drops_operands_but_keeps_skeleton() {
-        let mut t = Trace::new();
-        t.begin_step(0, 0, 0x100, Insn::Nop, Capture::Full);
-        t.push_reg_read(Reg::A0, 1);
-        t.push_reg_write(Reg::A1, 2);
-        t.set_taken(false);
-        t.set_trap(7);
-        t.demote_last();
-        assert_eq!(t.full_steps(), 0);
-        assert_eq!(t.elided_steps(), 1);
-        let v = t.view(0);
-        assert!(v.elided);
-        assert!(v.reg_reads.is_empty() && v.reg_writes.is_empty());
-        assert_eq!(v.taken, Some(false), "branch skeleton survives");
-        assert_eq!(v.trap, Some(7), "trap cause survives");
-        // Demoting twice is a no-op.
-        t.demote_last();
-        assert_eq!(t.elided_steps(), 1);
-    }
-
-    #[test]
     fn pop_last_unwinds_a_blocked_syscall_step() {
         let mut t = Trace::new();
-        t.begin_step(0, 0, 0x100, Insn::Nop, Capture::Full);
+        t.begin_step(0, 0, 0x100, Insn::Nop);
         t.push_reg_read(Reg::A0, 1);
-        let idx = t.begin_step(0, 0, 0x104, Insn::Sys, Capture::Full);
+        let idx = t.begin_step(0, 0, 0x104, Insn::Sys);
         t.pop_last(idx);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.full_steps(), 1);
         assert_eq!(t.view(0).reg_reads, &[(Reg::A0, 1)]);
     }
 

@@ -1,18 +1,12 @@
-//! Differential property tests for the arena-backed trace:
-//!
-//! 1. the arena recording path and the legacy `TraceStep` append path
-//!    converge to the exact same trace when elision is off (round-trip
-//!    through `to_steps` / `push_step` is the identity), and
-//! 2. taint-gated elision is invisible to execution: identical run
-//!    status, step count, and final data memory, with the sparse trace's
-//!    step skeleton matching the dense trace step-for-step.
+//! Differential property tests for the arena-backed trace: the arena
+//! recording path and the legacy `TraceStep` append path converge to the
+//! exact same trace (round-trip through `to_steps` / `push_step` is the
+//! identity).
 
 use bomblab_isa::asm::assemble;
 use bomblab_isa::link::Linker;
 use bomblab_isa::{FReg, Insn, Reg};
-use bomblab_vm::{
-    Machine, MachineConfig, MemAccess, SysEffect, SyscallRecord, Trace, TraceStep, ROOT_PID,
-};
+use bomblab_vm::{Machine, MachineConfig, MemAccess, SysEffect, SyscallRecord, Trace, TraceStep};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
@@ -92,7 +86,7 @@ scratch:
     src
 }
 
-fn run_traced(src: &str, sparse: bool) -> (Machine, u64) {
+fn run_traced(src: &str) -> Machine {
     let obj = assemble(src).expect("generated program assembles");
     let image = Linker::new()
         .add_object(obj)
@@ -101,13 +95,12 @@ fn run_traced(src: &str, sparse: bool) -> (Machine, u64) {
     let config = MachineConfig {
         trace: true,
         step_budget: 50_000,
-        sparse_taint: sparse.then(Vec::new),
         ..MachineConfig::default()
     };
     let mut machine = Machine::load(&image, None, config).expect("image loads");
     let result = machine.run();
     assert_eq!(result.status.exit_code(), Some(0), "clean exit: {src}");
-    (machine, image.data_base)
+    machine
 }
 
 /// Decodes one arbitrary legacy step from a compact seed. The operand
@@ -181,27 +174,23 @@ proptest! {
             trace.push_step(step);
         }
         prop_assert_eq!(trace.len(), steps.len());
-        prop_assert_eq!(trace.full_steps(), steps.len() as u64);
-        prop_assert_eq!(trace.elided_steps(), 0);
         prop_assert_eq!(trace.to_steps(), steps);
         for (i, v) in trace.iter().enumerate() {
-            prop_assert!(!v.elided);
             prop_assert_eq!(v.pc, steps[i].pc, "pc at {}", i);
         }
     }
 
-    /// With elision off, the VM's arena recording path produces the exact
-    /// trace the legacy append path would: materializing every step and
-    /// re-appending through `push_step` rebuilds a bit-identical arena.
+    /// The VM's arena recording path produces the exact trace the legacy
+    /// append path would: materializing every step and re-appending
+    /// through `push_step` rebuilds a bit-identical arena.
     #[test]
     fn arena_recording_matches_legacy_append(
         body in proptest::collection::vec((any::<u8>(), any::<i16>()), 1..10),
         tail in proptest::collection::vec((any::<u8>(), any::<i16>()), 1..6),
     ) {
         let src = build_program(&body, &tail);
-        let (machine, _) = run_traced(&src, false);
+        let machine = run_traced(&src);
         let trace = machine.trace();
-        prop_assert_eq!(trace.elided_steps(), 0, "elision is off");
 
         let legacy: Vec<TraceStep> = trace.to_steps();
         let mut rebuilt = Trace::new();
@@ -211,47 +200,5 @@ proptest! {
         prop_assert_eq!(&rebuilt, trace, "append path diverged from recorder");
         prop_assert_eq!(rebuilt.arena_bytes(), trace.arena_bytes());
         prop_assert_eq!(rebuilt.to_steps(), legacy);
-    }
-
-    /// Arming the taint gate (with nothing tainted — maximum elision)
-    /// never changes what the program *does*, and the sparse trace keeps
-    /// the dense trace's skeleton: same pc/insn/thread/branch/trap per
-    /// step, with operands present exactly on the non-elided steps.
-    #[test]
-    fn elision_is_invisible_to_execution(
-        body in proptest::collection::vec((any::<u8>(), any::<i16>()), 1..10),
-        tail in proptest::collection::vec((any::<u8>(), any::<i16>()), 1..6),
-    ) {
-        let src = build_program(&body, &tail);
-        let (dense_m, data_base) = run_traced(&src, false);
-        let (sparse_m, _) = run_traced(&src, true);
-
-        prop_assert_eq!(dense_m.steps(), sparse_m.steps(), "step count diverged");
-        let mem = |m: &Machine| {
-            m.process_memory(ROOT_PID)
-                .and_then(|mm| mm.read_bytes(data_base, 64).ok())
-        };
-        prop_assert_eq!(mem(&dense_m), mem(&sparse_m), "final data memory diverged");
-
-        let dense = dense_m.trace();
-        let sparse = sparse_m.trace();
-        prop_assert_eq!(dense.len(), sparse.len(), "trace length diverged");
-        prop_assert!(sparse.elided_steps() > 0, "nothing tainted, yet nothing elided");
-        prop_assert!(sparse.arena_bytes() < dense.arena_bytes());
-        for (i, (d, s)) in dense.iter().zip(sparse.iter()).enumerate() {
-            prop_assert_eq!(d.pc, s.pc, "pc at {}", i);
-            prop_assert_eq!(d.insn, s.insn, "insn at {}", i);
-            prop_assert_eq!((d.pid, d.tid), (s.pid, s.tid), "thread at {}", i);
-            prop_assert_eq!(d.taken, s.taken, "branch direction at {}", i);
-            prop_assert_eq!(d.trap, s.trap, "trap at {}", i);
-            if s.elided {
-                prop_assert!(s.reg_reads.is_empty() && s.reg_writes.is_empty());
-                prop_assert!(s.freg_reads.is_empty() && s.freg_writes.is_empty());
-                prop_assert!(s.mem_read.is_none() && s.mem_write.is_none());
-                prop_assert!(s.sys.is_none());
-            } else {
-                prop_assert_eq!(d.to_step(), s.to_step(), "full step at {}", i);
-            }
-        }
     }
 }

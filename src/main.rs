@@ -14,7 +14,7 @@
 //! bomblab study [prefix] [--jobs N|auto] [--trace out.jsonl]
 //!               [--checkpoint dir] [--resume] [--retries N]
 //!               [--tools paper|omniscient] [--no-shared-cache]
-//!               [--sparse-trace] [--no-bbcache]
+//!               [--no-bbcache]
 //!                                       run the Table-II study (durably)
 //! bomblab chaos [prefix] [--seed N] [--faults K] [--io-faults K] [--sweeps M]
 //!               [--jobs N|auto] [--retries N] [--checkpoint dir]
@@ -664,11 +664,6 @@ fn cmd_study(args: &[String]) -> CmdResult {
         alias: None,
         takes_value: true,
     };
-    const SPARSE_TRACE: FlagSpec = FlagSpec {
-        name: "--sparse-trace",
-        alias: None,
-        takes_value: false,
-    };
     const NO_BBCACHE: FlagSpec = FlagSpec {
         name: "--no-bbcache",
         alias: None,
@@ -685,7 +680,6 @@ fn cmd_study(args: &[String]) -> CmdResult {
             RETRIES,
             NO_SHARED_CACHE,
             TOOLS,
-            SPARSE_TRACE,
             NO_BBCACHE,
         ],
         1,
@@ -726,7 +720,6 @@ fn cmd_study(args: &[String]) -> CmdResult {
         checkpoint: flags.get("--checkpoint").map(std::path::PathBuf::from),
         resume: flags.contains_key("--resume"),
         shared_cache: !flags.contains_key("--no-shared-cache"),
-        sparse_trace: flags.contains_key("--sparse-trace"),
         bbcache: !flags.contains_key("--no-bbcache"),
         ..StudyOptions::default()
     };
