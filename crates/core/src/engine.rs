@@ -714,6 +714,11 @@ impl Engine {
             evidence.bb_misses += bb.bb_misses;
             evidence.bb_invalidations += bb.bb_invalidations;
             evidence.steps_decoded += bb.steps_decoded;
+            // Count the recorded trace before any exit below, so a detonating
+            // run's steps are in the totals as they are in `vm_steps`.
+            let full_trace = machine.take_trace();
+            evidence.trace_steps_full += full_trace.len() as u64;
+            evidence.trace_arena_bytes += full_trace.arena_bytes();
             // An injected stall may have tripped on the guest's final
             // quantum; fail the cell before the detonation check so the
             // "hang" cannot race the solve.
@@ -736,9 +741,6 @@ impl Engine {
             if status == RunStatus::OutOfBudget {
                 evidence.vm_budget = true;
             }
-            let full_trace = machine.take_trace();
-            evidence.trace_steps_full += full_trace.len() as u64;
-            evidence.trace_arena_bytes += full_trace.arena_bytes();
 
             // 2. Tool-level aborts: unsupported syscalls, traps.
             if full_trace.iter().any(|s| {

@@ -228,6 +228,47 @@ fn cell_lines_carry_every_nonzero_counter() {
 }
 
 #[test]
+fn every_executed_step_is_counted_as_recorded() {
+    // The VM records every step it executes, and the engine sums each
+    // round's trace, the detonating round's included, so the recorded
+    // totals match `vm_steps` on every cell of both lineups. One step kind
+    // breaks the identity elsewhere: a syscall that blocks (a join or a
+    // wait in the `parallel_*` bombs) counts as a VM step but is unwound
+    // from the trace and recorded when it re-executes. No bomb here blocks.
+    let cases = |prefix: &str| -> Vec<StudyCase> {
+        bomblab::bombs::all_cases()
+            .into_iter()
+            .filter(|c| c.subject.name.starts_with(prefix))
+            .collect()
+    };
+    let studies = [
+        (cases("decl"), ToolProfile::paper_lineup()),
+        (cases("covert"), vec![ToolProfile::omniscient()]),
+    ];
+    for (cases, profiles) in &studies {
+        let report = run_study_with(
+            cases,
+            profiles,
+            &StudyOptions {
+                jobs: 2,
+                ..StudyOptions::default()
+            },
+        );
+        for row in &report.rows {
+            for cell in &row.cells {
+                let ev = &cell.attempt.evidence;
+                assert_eq!(
+                    ev.trace_steps_full, ev.vm_steps,
+                    "{} x {}",
+                    row.name, cell.profile
+                );
+                assert_eq!(ev.trace_arena_bytes > 0, ev.vm_steps > 0);
+            }
+        }
+    }
+}
+
+#[test]
 fn observed_cache_counters_count_slices_like_the_evidence() {
     // The obs counters `solver.cache_hits` / `solver.cache_misses` and the
     // `Evidence` counters of the same names must measure the same thing:
