@@ -5,7 +5,7 @@
 //! the fly. All bitvector widths are between 1 and 64 bits; values are kept
 //! in the low bits of a `u64`.
 
-use crate::idhash::IdSet;
+use crate::idhash::{IdMap, IdSet};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -238,9 +238,11 @@ impl Node {
 /// rewrite. `Term` is intentionally `!Send`; terms never cross threads.
 ///
 /// The interner also gives every node a structural
-/// [`fingerprint`](Term::fingerprint) and a cached
-/// [`has_float`](Term::has_float) bit, both computed once from the node's
-/// own fields and its children's cached values.
+/// [`fingerprint`](Term::fingerprint), a cached
+/// [`has_float`](Term::has_float) bit and a cached [`sort`](Term::sort),
+/// all computed once from the node's own fields and its children's cached
+/// values. Reading any of them is O(1), so a constructor that checks its
+/// operands' widths costs the same on a leaf and on a 50,000-deep chain.
 #[derive(Clone)]
 pub struct Term(Rc<Interned>);
 
@@ -249,6 +251,7 @@ struct Interned {
     node: Node,
     fingerprint: u64,
     has_float: bool,
+    sort: Sort,
 }
 
 impl fmt::Debug for Term {
@@ -392,6 +395,34 @@ fn derive(node: &Node) -> (u64, bool) {
     (h, tag >= 15 || node.children().any(Term::has_float))
 }
 
+/// The sort of a new node: one level of the sort rule over its own fields
+/// and its operands' cached sorts, never a walk down the DAG.
+fn node_sort(node: &Node) -> Sort {
+    match node {
+        Node::BvConst { width, .. } | Node::ZExt { width, .. } | Node::SExt { width, .. } => {
+            Sort::Bv(*width)
+        }
+        Node::BvVar(v) => Sort::Bv(v.width),
+        Node::BvBin { a, .. } | Node::BvNot(a) | Node::BvNeg(a) => a.sort(),
+        Node::Extract { hi, lo, .. } => Sort::Bv(hi - lo + 1),
+        Node::Concat { a, b } => Sort::Bv(a.width() + b.width()),
+        Node::Cmp { .. }
+        | Node::BoolConst(_)
+        | Node::BNot(_)
+        | Node::BAnd(..)
+        | Node::BOr(..)
+        | Node::FCmp { .. } => Sort::Bool,
+        Node::Ite { then, .. } => then.sort(),
+        Node::FConst(_)
+        | Node::FBin { .. }
+        | Node::FNeg(_)
+        | Node::FSqrt(_)
+        | Node::CvtSiToF(_)
+        | Node::FFromBits(_) => Sort::F64,
+        Node::CvtFToSi(_) | Node::FBits(_) => Sort::Bv(64),
+    }
+}
+
 /// Counters describing this thread's term interner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternStats {
@@ -404,7 +435,7 @@ pub struct InternStats {
 }
 
 struct Interner {
-    map: HashMap<InternKey, Weak<Interned>>,
+    map: IdMap<InternKey, Weak<Interned>>,
     hits: u64,
     misses: u64,
     sweep_at: usize,
@@ -421,10 +452,12 @@ impl Interner {
         }
         self.misses += 1;
         let (fingerprint, has_float) = derive(&node);
+        let sort = node_sort(&node);
         let rc = Rc::new(Interned {
             node,
             fingerprint,
             has_float,
+            sort,
         });
         self.map.insert(key, Rc::downgrade(&rc));
         if self.map.len() > self.sweep_at {
@@ -437,7 +470,7 @@ impl Interner {
 
 thread_local! {
     static INTERNER: RefCell<Interner> = RefCell::new(Interner {
-        map: HashMap::new(),
+        map: IdMap::default(),
         hits: 0,
         misses: 0,
         sweep_at: 4096,
@@ -488,36 +521,9 @@ impl Term {
         Rc::as_ptr(&self.0) as usize
     }
 
-    /// The sort of this term.
+    /// The sort of this term. O(1); cached when the term was interned.
     pub fn sort(&self) -> Sort {
-        match self.node() {
-            Node::BvConst { width, .. } => Sort::Bv(*width),
-            Node::BvVar(v) => Sort::Bv(v.width),
-            Node::BvBin { a, .. } => a.sort(),
-            Node::BvNot(a) | Node::BvNeg(a) => a.sort(),
-            Node::Extract { hi, lo, .. } => Sort::Bv(hi - lo + 1),
-            Node::ZExt { width, .. } | Node::SExt { width, .. } => Sort::Bv(*width),
-            Node::Concat { a, b } => {
-                let (Sort::Bv(wa), Sort::Bv(wb)) = (a.sort(), b.sort()) else {
-                    unreachable!("concat of non-bitvectors")
-                };
-                Sort::Bv(wa + wb)
-            }
-            Node::Cmp { .. }
-            | Node::BoolConst(_)
-            | Node::BNot(_)
-            | Node::BAnd(..)
-            | Node::BOr(..)
-            | Node::FCmp { .. } => Sort::Bool,
-            Node::Ite { then, .. } => then.sort(),
-            Node::FConst(_)
-            | Node::FBin { .. }
-            | Node::FNeg(_)
-            | Node::FSqrt(_)
-            | Node::CvtSiToF(_)
-            | Node::FFromBits(_) => Sort::F64,
-            Node::CvtFToSi(_) | Node::FBits(_) => Sort::Bv(64),
-        }
+        self.0.sort
     }
 
     /// Bitvector width.

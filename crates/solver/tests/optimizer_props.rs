@@ -2,14 +2,16 @@
 //! pipeline (rewrite simplification, interval pruning, slicing) must agree
 //! with the raw pipeline on sat/unsat, its models must satisfy the
 //! *original* constraints, and interval-pruned unsat verdicts must be
-//! confirmed by the raw bit-blasting path.
+//! confirmed by the raw bit-blasting path. The same generator checks the
+//! sort each term caches at intern time against a recursive reference.
 
-use bomblab_solver::expr::{eval, BvOp, CmpOp, Term, Value};
+use bomblab_solver::expr::{eval, BvOp, CmpOp, Node, Sort, Term, Value};
 use bomblab_solver::simplify::{simplify, SimplifyStats};
 use bomblab_solver::{interval, SolveOutcome, Solver};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const OPS: [BvOp; 13] = [
     BvOp::Add,
@@ -125,7 +127,91 @@ fn any_grid_assignment_satisfies(cs: &[Term]) -> bool {
     false
 }
 
+/// The sort rule applied all the way down to the leaves on every call.
+fn reference_sort(t: &Term) -> Sort {
+    match t.node() {
+        Node::BvConst { width, .. } | Node::ZExt { width, .. } | Node::SExt { width, .. } => {
+            Sort::Bv(*width)
+        }
+        Node::BvVar(v) => Sort::Bv(v.width),
+        Node::BvBin { a, .. } | Node::BvNot(a) | Node::BvNeg(a) => reference_sort(a),
+        Node::Extract { hi, lo, .. } => Sort::Bv(hi - lo + 1),
+        Node::Concat { a, b } => match (reference_sort(a), reference_sort(b)) {
+            (Sort::Bv(wa), Sort::Bv(wb)) => Sort::Bv(wa + wb),
+            other => panic!("concat of {other:?}"),
+        },
+        Node::Cmp { .. }
+        | Node::BoolConst(_)
+        | Node::BNot(_)
+        | Node::BAnd(..)
+        | Node::BOr(..)
+        | Node::FCmp { .. } => Sort::Bool,
+        Node::Ite { then, .. } => reference_sort(then),
+        Node::FConst(_)
+        | Node::FBin { .. }
+        | Node::FNeg(_)
+        | Node::FSqrt(_)
+        | Node::CvtSiToF(_)
+        | Node::FFromBits(_) => Sort::F64,
+        Node::CvtFToSi(_) | Node::FBits(_) => Sort::Bv(64),
+    }
+}
+
+/// Building a dependent chain is linear in its depth: each constructor
+/// reads its operand's cached sort instead of walking the left spine
+/// down to a leaf, which made this build quadratic (seconds at 30,000).
+#[test]
+fn deep_left_chains_build_in_linear_time() {
+    const DEPTH: u64 = 50_000;
+    // Dropping the chain still recurses once per level; a 200,000-deep
+    // chain overflows a 2 MiB stack.
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(|| {
+            let start = Instant::now();
+            let mut chain = Term::var("x", 64);
+            for i in 1..=DEPTH {
+                chain = Term::bin(BvOp::Add, &chain, &Term::bv(i, 64));
+            }
+            let elapsed = start.elapsed();
+            assert_eq!(chain.sort(), Sort::Bv(64));
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "a {DEPTH}-deep Add chain took {elapsed:?} to build"
+            );
+        })
+        .expect("spawn a thread with a roomy stack")
+        .join()
+        .expect("the chain builds and drops");
+}
+
 proptest! {
+    /// Every node's cached sort equals the recursive reference rule, over
+    /// the generated constraints, their simplified forms, and terms that
+    /// add the width-changing and boolean nodes the generator lacks.
+    #[test]
+    fn cached_sorts_match_the_recursive_rule(
+        ast in arb_ast(),
+        cmp_i in 0usize..CMPS.len(),
+        k in any::<u64>(),
+        hi in 0u8..WIDTH,
+    ) {
+        let e = build(&ast);
+        let c = Term::cmp(CMPS[cmp_i], &e, &Term::bv(k, WIDTH));
+        let roots = [
+            simplify(&c, &mut SimplifyStats::default()),
+            Term::ite(&c, &Term::zext(&e, 16), &Term::sext(&Term::bvnot(&e), 16)),
+            Term::concat(&Term::extract(&e, hi, 0), &e),
+            Term::or(&Term::not(&c), &Term::and(&c, &Term::cmp(CmpOp::Ult, &e, &e))),
+            c,
+        ];
+        for root in &roots {
+            for t in root.topo_order() {
+                prop_assert_eq!(t.sort(), reference_sort(&t), "{:?}", t);
+            }
+        }
+    }
+
     /// The rewrite simplifier preserves evaluation on random inputs.
     #[test]
     fn simplify_preserves_evaluation(

@@ -28,6 +28,7 @@
 use bomblab_ir::{lift, Atom, BinOp, CmpK, Place, Stmt, SupportMatrix, UnOp};
 use bomblab_isa::{sys, Reg};
 use bomblab_solver::expr::{BvOp, CmpOp, FCmpOp, FOp, Term};
+use bomblab_solver::idhash::IdMap;
 use bomblab_vm::{InputSource, Memory, OutputSink, StepView, SysEffect, Trace};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -283,39 +284,47 @@ struct SVal {
 type TKey = (u32, u32);
 
 /// Register state (GPR, FPR) a forked child inherits from its parent.
-type ForkSeed = (HashMap<usize, SVal>, HashMap<usize, SVal>);
+type ForkSeed = (IdMap<usize, SVal>, IdMap<usize, SVal>);
+
+/// Symbolic bytes of one address space (or file, or pipe), by address.
+type SymBytes = IdMap<u64, SVal>;
 
 /// The concolic symbolic executor.
+///
+/// The tables keyed by small integers (pids, thread keys, register
+/// indices, addresses) hash with the solver's [`IdMap`] hasher; `sfiles`,
+/// keyed by path, keeps the default one. No table is iterated, so no
+/// hash order reaches a [`SymResult`].
 #[derive(Debug)]
 pub struct SymExec {
     model: MemoryModel,
     policy: PropagationPolicy,
     env: SymbolizeEnv,
-    mirrors: HashMap<u32, Memory>,
-    sregs: HashMap<TKey, HashMap<usize, SVal>>,
-    sfpr: HashMap<TKey, HashMap<usize, SVal>>,
-    smem: HashMap<u32, HashMap<u64, SVal>>,
-    sfiles: HashMap<String, HashMap<u64, SVal>>,
-    spipes: HashMap<usize, HashMap<u64, SVal>>,
+    mirrors: IdMap<u32, Memory>,
+    sregs: IdMap<TKey, IdMap<usize, SVal>>,
+    sfpr: IdMap<TKey, IdMap<usize, SVal>>,
+    smem: IdMap<u32, SymBytes>,
+    sfiles: HashMap<String, SymBytes>,
+    spipes: IdMap<usize, SymBytes>,
     /// Symbolic kernel file positions, keyed by (pid, fd).
-    sfilepos: HashMap<(u32, u64), SVal>,
-    fork_seeds: HashMap<u32, ForkSeed>,
+    sfilepos: IdMap<(u32, u64), SVal>,
+    fork_seeds: IdMap<u32, ForkSeed>,
     /// Code ranges the analysis treats as opaque (unloaded libraries).
     opaque_ranges: Vec<(u64, u64)>,
     /// Give opaque calls fresh unconstrained return values.
     opaque_fresh_returns: bool,
     /// Threads currently executing inside an opaque range.
-    in_opaque: HashMap<TKey, bool>,
+    in_opaque: IdMap<TKey, bool>,
     /// Drop symbolic registers when a thread traps.
     clear_on_trap: bool,
     /// Push path conditions for trap guards (symbolic divisors).
     model_trap_guards: bool,
     /// Symbolic summaries for opaque functions, keyed by entry address.
-    summaries: HashMap<u64, Summary>,
+    summaries: IdMap<u64, Summary>,
     /// Summary results awaiting the opaque-range exit.
-    pending_rets: HashMap<TKey, SVal>,
+    pending_rets: IdMap<TKey, SVal>,
     /// Last concrete values of a0..a5 per thread (tracked from writes).
-    concrete_args: HashMap<TKey, [u64; 6]>,
+    concrete_args: IdMap<TKey, [u64; 6]>,
     support: SupportMatrix,
 }
 
@@ -326,22 +335,22 @@ impl SymExec {
             model,
             policy,
             env: SymbolizeEnv::default(),
-            mirrors: HashMap::new(),
-            sregs: HashMap::new(),
-            sfpr: HashMap::new(),
-            smem: HashMap::new(),
+            mirrors: IdMap::default(),
+            sregs: IdMap::default(),
+            sfpr: IdMap::default(),
+            smem: IdMap::default(),
             sfiles: HashMap::new(),
-            spipes: HashMap::new(),
-            sfilepos: HashMap::new(),
-            fork_seeds: HashMap::new(),
+            spipes: IdMap::default(),
+            sfilepos: IdMap::default(),
+            fork_seeds: IdMap::default(),
             opaque_ranges: Vec::new(),
             opaque_fresh_returns: false,
-            in_opaque: HashMap::new(),
+            in_opaque: IdMap::default(),
             clear_on_trap: false,
             model_trap_guards: true,
-            summaries: HashMap::new(),
-            pending_rets: HashMap::new(),
-            concrete_args: HashMap::new(),
+            summaries: IdMap::default(),
+            pending_rets: IdMap::default(),
+            concrete_args: IdMap::default(),
             support: SupportMatrix::full(),
         }
     }
@@ -424,6 +433,9 @@ impl SymExec {
 
     fn run_inner(&mut self, trace: &Trace) -> SymResult {
         let mut result = SymResult::default();
+        // Per-instruction temp values, emptied before each lifted block.
+        let mut tmp_concrete: IdMap<u32, u64> = IdMap::default();
+        let mut tmp_sym: IdMap<u32, SVal> = IdMap::default();
         for (idx, step) in trace.iter().enumerate() {
             // Seed forked children on first sight.
             if !self.sregs.contains_key(&(step.pid, step.tid)) {
@@ -515,9 +527,8 @@ impl SymExec {
             }
             let block =
                 lift(&step.insn, step.pc, &self.support).expect("full support lifts everything");
-            // Per-instruction concrete temp values.
-            let mut tmp_concrete: HashMap<u32, u64> = HashMap::new();
-            let mut tmp_sym: HashMap<u32, SVal> = HashMap::new();
+            tmp_concrete.clear();
+            tmp_sym.clear();
             for stmt in &block {
                 self.apply_stmt(
                     idx,
@@ -634,7 +645,7 @@ impl SymExec {
             )
     }
 
-    fn sym_of_place(&self, key: TKey, place: &Place, tmp_sym: &HashMap<u32, SVal>) -> Option<SVal> {
+    fn sym_of_place(&self, key: TKey, place: &Place, tmp_sym: &IdMap<u32, SVal>) -> Option<SVal> {
         match place {
             Place::Gpr(r) => self
                 .sregs
@@ -651,7 +662,7 @@ impl SymExec {
         key: TKey,
         place: &Place,
         val: Option<SVal>,
-        tmp_sym: &mut HashMap<u32, SVal>,
+        tmp_sym: &mut IdMap<u32, SVal>,
     ) {
         match place {
             Place::Gpr(r) => {
@@ -695,7 +706,7 @@ impl SymExec {
         &self,
         step: StepView<'_>,
         atom: &Atom,
-        tmp_concrete: &HashMap<u32, u64>,
+        tmp_concrete: &IdMap<u32, u64>,
     ) -> u64 {
         match atom {
             Atom::Const(c) => *c,
@@ -713,8 +724,8 @@ impl SymExec {
         &self,
         step: StepView<'_>,
         atom: &Atom,
-        tmp_concrete: &HashMap<u32, u64>,
-        tmp_sym: &HashMap<u32, SVal>,
+        tmp_concrete: &IdMap<u32, u64>,
+        tmp_sym: &IdMap<u32, SVal>,
     ) -> SVal {
         let key = (step.pid, step.tid);
         match atom {
@@ -753,8 +764,8 @@ impl SymExec {
         idx: usize,
         step: StepView<'_>,
         stmt: &Stmt,
-        tmp_concrete: &mut HashMap<u32, u64>,
-        tmp_sym: &mut HashMap<u32, SVal>,
+        tmp_concrete: &mut IdMap<u32, u64>,
+        tmp_sym: &mut IdMap<u32, SVal>,
         result: &mut SymResult,
     ) {
         let key = (step.pid, step.tid);
@@ -800,18 +811,13 @@ impl SymExec {
                 self.set_place_sym(key, dst, Some(SVal { term, lvl }), tmp_sym);
             }
             Stmt::Un { op, dst, a } => {
-                let is_float_dst = matches!(
-                    op,
-                    UnOp::FMov | UnOp::FNeg | UnOp::FSqrt | UnOp::CvtSiToD | UnOp::FFromBits
-                );
                 // Concrete temp bookkeeping (only integer temps are read).
                 if let Place::Tmp(i) = dst {
+                    let v = self.atom_concrete(step, a, tmp_concrete);
                     let cval = match op {
-                        UnOp::Mov => self.atom_concrete(step, a, tmp_concrete),
-                        UnOp::Not => !self.atom_concrete(step, a, tmp_concrete),
-                        UnOp::Neg => self.atom_concrete(step, a, tmp_concrete).wrapping_neg(),
-                        UnOp::FBits => self.atom_concrete(step, a, tmp_concrete),
-                        _ => self.atom_concrete(step, a, tmp_concrete),
+                        UnOp::Not => !v,
+                        UnOp::Neg => v.wrapping_neg(),
+                        _ => v,
                     };
                     tmp_concrete.insert(*i, cval);
                 }
@@ -832,7 +838,6 @@ impl SymExec {
                     UnOp::FBits => Term::f_bits(&sa.term),
                     UnOp::FFromBits => Term::f_from_bits(&sa.term),
                 };
-                let _ = is_float_dst;
                 self.set_place_sym(key, dst, Some(SVal { term, lvl: sa.lvl }), tmp_sym);
             }
             Stmt::Load {
@@ -850,7 +855,12 @@ impl SymExec {
                 let loaded = if addr_symbolic {
                     self.symbolic_address_load(idx, step, &addr_sval, acc, *width, result)
                 } else {
-                    self.concrete_address_load(step.pid, acc.addr, *width, acc.value)
+                    Some(load_bytes(
+                        self.smem.get(&step.pid),
+                        acc.addr,
+                        *width,
+                        acc.value,
+                    ))
                 };
                 // A fully concrete result is NOT tracked symbolically: the
                 // trace's recorded operands already carry the value.
@@ -944,46 +954,6 @@ impl SymExec {
         }
     }
 
-    /// Loads from a concrete address: symbolic bytes override the traced
-    /// concrete value. The result term always has width `8 * width` so
-    /// table entries are sort-compatible.
-    fn concrete_address_load(
-        &mut self,
-        pid: u32,
-        addr: u64,
-        width: u8,
-        concrete: u64,
-    ) -> Option<SVal> {
-        let mem = self.smem.entry(pid).or_default();
-        let any_symbolic = (0..width as u64).any(|i| mem.contains_key(&(addr + i)));
-        if !any_symbolic {
-            return Some(SVal {
-                term: Term::bv(concrete, 8 * width),
-                lvl: 0,
-            });
-        }
-        // Assemble little-endian from byte terms, high byte first in concat.
-        let mut term: Option<Term> = None;
-        let mut lvl = 0;
-        for i in (0..width as u64).rev() {
-            let byte = match mem.get(&(addr + i)) {
-                Some(sv) => {
-                    lvl = lvl.max(sv.lvl);
-                    sv.term.clone()
-                }
-                None => Term::bv((concrete >> (8 * i)) & 0xff, 8),
-            };
-            term = Some(match term {
-                Some(t) => Term::concat(&t, &byte),
-                None => byte,
-            });
-        }
-        Some(SVal {
-            term: term.expect("width >= 1"),
-            lvl,
-        })
-    }
-
     /// Loads through a symbolic address according to the memory model.
     fn symbolic_address_load(
         &mut self,
@@ -994,12 +964,17 @@ impl SymExec {
         width: u8,
         result: &mut SymResult,
     ) -> Option<SVal> {
-        let pin_to_runtime = |this: &mut SymExec, result: &mut SymResult| {
+        let pin_to_runtime = |this: &SymExec, result: &mut SymResult| {
             result.pins.push(Pin {
                 step: idx,
                 cond: Term::cmp(CmpOp::Eq, &addr_sval.term, &Term::bv(acc.addr, 64)),
             });
-            this.concrete_address_load(step.pid, acc.addr, width, acc.value)
+            Some(load_bytes(
+                this.smem.get(&step.pid),
+                acc.addr,
+                width,
+                acc.value,
+            ))
         };
         match self.model {
             MemoryModel::Concretize => {
@@ -1047,24 +1022,15 @@ impl SymExec {
                         &Term::cmp(CmpOp::Ule, &addr_sval.term, &Term::bv(hi, 64)),
                     ),
                 });
-                let mut table = self
-                    .concrete_address_load(step.pid, acc.addr, width, acc.value)
-                    .expect("concrete load always yields a value")
-                    .term;
+                let mem = self.smem.get(&step.pid);
+                let mut table = load_bytes(mem, acc.addr, width, acc.value).term;
                 let mut max_lvl = lvl;
                 for a in lo..=hi {
                     if a == acc.addr {
                         continue;
                     }
-                    let concrete = self
-                        .mirrors
-                        .get(&step.pid)
-                        .expect("mirror checked above")
-                        .read_uint(a, width)
-                        .unwrap_or(0);
-                    let entry = self
-                        .concrete_address_load(step.pid, a, width, concrete)
-                        .expect("concrete load always yields a value");
+                    let concrete = mirror.read_uint(a, width).unwrap_or(0);
+                    let entry = load_bytes(mem, a, width, concrete);
                     max_lvl = max_lvl.max(entry.lvl + 1);
                     let is_here = Term::cmp(CmpOp::Eq, &addr_sval.term, &Term::bv(a, 64));
                     table = Term::ite(&is_here, &entry.term, &table);
@@ -1405,6 +1371,39 @@ fn symbolic_cmp(cmp: CmpK, a: &Term, b: &Term) -> Term {
         CmpK::FEq => Term::fcmp(FCmpOp::Eq, a, b),
         CmpK::FLt => Term::fcmp(FCmpOp::Lt, a, b),
         CmpK::FLe => Term::fcmp(FCmpOp::Le, a, b),
+    }
+}
+
+/// Loads from a concrete address of the address space whose symbolic
+/// bytes are `mem`: symbolic bytes override the traced concrete value. The
+/// result term always has width `8 * width` so table entries are
+/// sort-compatible.
+fn load_bytes(mem: Option<&SymBytes>, addr: u64, width: u8, concrete: u64) -> SVal {
+    let Some(mem) = mem.filter(|m| (0..width as u64).any(|i| m.contains_key(&(addr + i)))) else {
+        return SVal {
+            term: Term::bv(concrete, 8 * width),
+            lvl: 0,
+        };
+    };
+    // Assemble little-endian from byte terms, high byte first in concat.
+    let mut term: Option<Term> = None;
+    let mut lvl = 0;
+    for i in (0..width as u64).rev() {
+        let byte = match mem.get(&(addr + i)) {
+            Some(sv) => {
+                lvl = lvl.max(sv.lvl);
+                sv.term.clone()
+            }
+            None => Term::bv((concrete >> (8 * i)) & 0xff, 8),
+        };
+        term = Some(match term {
+            Some(t) => Term::concat(&t, &byte),
+            None => byte,
+        });
+    }
+    SVal {
+        term: term.expect("width >= 1"),
+        lvl,
     }
 }
 

@@ -62,7 +62,7 @@ fn replay(case: &StudyCase, model: MemoryModel) -> SymResult {
 /// (step, condition) and every event vector, each vector length-prefixed.
 fn digest(r: &SymResult) -> u64 {
     let mut h = fnv::OFFSET;
-    let mut words = |h: &mut u64, ws: &[u64]| {
+    let words = |h: &mut u64, ws: &[u64]| {
         for &w in ws {
             *h = fnv::fold_bytes(*h, &w.to_le_bytes());
         }
